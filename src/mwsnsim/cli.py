@@ -5,8 +5,10 @@ Subcommands:
   sweep-connections  throughput vs number of CBR connections
   replay             recompute a metric from an emitted trace file
 
-Exit status is 0 on success; failures print the error class and message and
-exit nonzero.
+Exit status is 0 on success. When `run` writes its outputs but some runs
+failed, it prints "N of M runs failed" on stderr and exits 1; the failed
+runs' rows in summary.csv carry their errors. Any other failure prints the
+error class and message and exits 2.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import json
 import sys
 
 from .config import load_config, validate_config
-from .harness import replay_metric, run_experiment, throughput_vs_connections
+from .harness import FailedRun, replay_metric, run_experiment, throughput_vs_connections
 from .metrics import METRIC_FUNCTIONS
 
 
@@ -70,6 +72,10 @@ def main(argv: list[str] | None = None) -> int:
             reports = run_experiment(cfg, seeds, schemes, out_dir=args.out,
                                      write_traces=not args.no_traces)
             print(f"wrote {len(reports)} run(s) to {args.out}")
+            failed = sum(1 for rep in reports if isinstance(rep, FailedRun))
+            if failed:
+                print(f"{failed} of {len(reports)} runs failed", file=sys.stderr)
+                return 1
         elif args.command == "sweep-connections":
             cfg = load_config(args.config) if args.config else validate_config({})
             if args.max_n < 1:

@@ -42,7 +42,6 @@ class EventKind(Enum):
     CRITICAL_EVENT = "critical_event"
     SLOT_TRANSMIT = "slot_transmit"
     PACKET_DELIVERED = "packet_delivered"
-    ENERGY_DEPLETED = "energy_depleted"
 
 
 class NodeKind(IntEnum):
@@ -244,20 +243,7 @@ class Simulation:
         self._pos_cache: tuple[float, np.ndarray, np.ndarray] | None = None
 
     def _build_radio(self) -> None:
-        r = self.cfg["radio"]
-        base = radio_mod.RadioParams(
-            tx_power=r["tx_power"], tx_gain=r["tx_gain"], rx_gain=r["rx_gain"],
-            antenna_height_tx=r["antenna_height_tx"], antenna_height_rx=r["antenna_height_rx"],
-            system_loss=r["system_loss"], wavelength=self.cfg.wavelength,
-            rx_threshold=1.0,
-        )
-        threshold = radio_mod.threshold_for_range(base, r["nominal_range"])
-        self.radio = radio_mod.RadioParams(
-            tx_power=base.tx_power, tx_gain=base.tx_gain, rx_gain=base.rx_gain,
-            antenna_height_tx=base.antenna_height_tx, antenna_height_rx=base.antenna_height_rx,
-            system_loss=base.system_loss, wavelength=base.wavelength,
-            rx_threshold=threshold,
-        )
+        self.radio = radio_mod.params_for_range(self.cfg["radio"], self.cfg.wavelength)
         self.graph = None
         self.dist_maps: dict[int, dict[int, int]] = {}
 
@@ -366,6 +352,13 @@ class Simulation:
     def _alive(self) -> list[int]:
         return [i for i in range(self.n) if i not in self.dead]
 
+    def _note_depletion(self, node: int, t: float) -> None:
+        """Mark a node dead the moment a charge leaves its battery empty, so
+        `dead` is always exactly the set of depleted batteries."""
+        if self.battery[node].depleted:
+            self.dead.add(node)
+            self.trace.append({"k": "dep", "t": t, "n": node})
+
     def _tracker(self, flow_id: str) -> traffic_mod.PdrTracker:
         tr = self.trackers.get(flow_id)
         if tr is None:
@@ -396,9 +389,6 @@ class Simulation:
 
         Expired and currently unroutable packets get the sentinel (they can
         never transmit, so they lose every contention and every eviction).
-        The arithmetic matches scheduler.compute_pi_mdlps / compute_pi_data
-        term for term; it is unrolled here because this closure sits on the
-        hottest path of a run.
         """
         sentinel = sched.GATE_SENTINEL
         dist_maps = self.dist_maps
@@ -409,16 +399,13 @@ class Simulation:
                 dmap = dist_maps.get(p.dst)
                 if dmap is None or node not in dmap:
                     return sentinel
-                return 1.0 / p.importance
+                return sched.compute_pi_data(p.importance)
             return key
 
         v = max(self.mob.instantaneous_speed(node, t), self.velocity_floor)
-        inv_v = 1.0 / v
-        state = self.battery[node]
-        # depleted nodes never transmit; their queue order is irrelevant
-        x = energy_mod.battery_factor(state) if not state.depleted else 1.0
-        desired = self.flow_params.desired_pdr
-        threshold = self.flow_params.pdr_threshold
+        # dead nodes never transmit; their queue order is irrelevant
+        x = 1.0 if node in self.dead else energy_mod.battery_factor(self.battery[node])
+        flow = self.flow_params
         trackers = self.trackers
         pdr_cache: dict[str, float] = {}
 
@@ -434,10 +421,8 @@ class Simulation:
                 tracker = trackers.get(p.flow)
                 pdr = tracker.value if tracker is not None else 1.0
                 pdr_cache[p.flow] = pdr
-            if pdr < threshold:
-                return sentinel
-            ulb = (p.deadline - t) / (2.0 ** hops)
-            return (pdr / desired) * ulb * inv_v * x
+            # compute_ulb's budget; t < deadline here, so it needs no clamp
+            return sched.mdlps_index(pdr, flow, (p.deadline - t) / (2.0 ** hops), v, x)
         return key
 
     def _gated_out(self, packet: traffic_mod.Packet) -> bool:
@@ -470,9 +455,11 @@ class Simulation:
         """Contenders for transmission positions: alive non-sink nodes with
         queued data, keyed by their best packet under the active scheme.
 
-        Under the data scheme sensors are ranked through their nearest
-        in-range cluster head and the per-cluster lists are merged globally;
-        orphan sensors either contend directly or are excluded, per policy.
+        Under the data scheme sensors report through their nearest in-range
+        cluster head; ranking is the shared comparator over all contenders,
+        which equals merging the per-cluster lists. Cluster affiliation only
+        decides which sensors are orphans, and orphans either contend
+        directly or are excluded, per policy.
         """
         alive = [i for i in self._alive() if self.kinds[i] != NodeKind.BASE_STATION]
         holders = [i for i in alive if len(self.queues[i]) > 0]
@@ -490,19 +477,13 @@ class Simulation:
             chs = [c for c in self.ch_ids if c not in self.dead]
             sensors = [s for s in holders if self.kinds[s] == NodeKind.SENSOR]
             reach = lambda a, b: (self.graph is not None and self.graph.has_edge(a, b))
-            reports, orphans = sched.assign_clusters(sensors, chs, positions, reach)
+            _, orphans = sched.assign_clusters(sensors, chs, positions, reach)
             if orphans:
                 self._orphans_this_frame = list(orphans)
-            merged = sched.global_importance_ranking(
-                {ch: [cands[m] for m in members] for ch, members in reports.items()})
-            chosen = [c.node for c in merged]
-            chosen += [n for n in holders if self.kinds[n] != NodeKind.SENSOR]
-            if self.orphan_policy == "contend":
-                chosen += orphans
-            selected = sorted(set(chosen))
-        else:
-            selected = holders
-        return [sched.priority_tuple(cands[n], self.net_of[n], self.n1_map) for n in selected]
+                if self.orphan_policy == "exclude":
+                    excluded = set(orphans)
+                    holders = [n for n in holders if n not in excluded]
+        return [sched.priority_tuple(cands[n], self.net_of[n], self.n1_map) for n in holders]
 
     # handlers ---------------------------------------------------------------
     def _on_mobility_tick(self, ev: Event) -> None:
@@ -520,12 +501,11 @@ class Simulation:
         if self.costs.idle_power > 0:
             for node in self._alive():
                 energy_mod.consume_idle(self.battery[node], self.costs, self.frame_length)
-                if self.battery[node].depleted:
-                    self.queue.schedule(t, EventKind.ENERGY_DEPLETED, (node,))
+                self._note_depletion(node, t)
         if not self.grid.ever_allocated:
             sources = self._candidates(t)
             if sources:
-                sched.allocate_slots(sources, self.grid, t)
+                sched.allocate_slots(sources, self.grid)
                 self._trace_alloc(t, "startup", -1)
         granted: list[tuple[int, int, int]] = []
         transient: list[tuple[int, int, int]] = []
@@ -611,8 +591,7 @@ class Simulation:
                 "k": "tx", "t": t, "p": p.id, "u": node, "v": hop, "f": f, "s": s,
                 "h": hops, "e": self.battery[node].level,
             })
-            if self.battery[node].depleted:
-                self.queue.schedule(t, EventKind.ENERGY_DEPLETED, (node,))
+            self._note_depletion(node, t)
             self.queue.schedule(
                 t + energy_mod.airtime(p.size, self.costs),
                 EventKind.PACKET_DELIVERED, (p, node, hop))
@@ -625,31 +604,20 @@ class Simulation:
             self._drop(p, receiver, t, "no_route", detail="receiver_dead")
             return
         energy_mod.consume_rx(self.battery[receiver], self.costs, p.size)
-        drained = self.battery[receiver].depleted
         rec = {"k": "rx", "t": t, "p": p.id, "n": receiver,
                "e": self.battery[receiver].level, "fin": 0}
         if receiver == p.dst:
-            on_time = t <= p.deadline
             rec["fin"] = 1
             rec["delay"] = t - p.created
-            rec["ok"] = 1 if on_time else 0
-            self.trace.append(rec)
-            self._tracker(p.flow).record(on_time)
+            rec["ok"] = 1 if t <= p.deadline else 0
+        self.trace.append(rec)
+        self._note_depletion(receiver, t)
+        if receiver == p.dst:
+            self._tracker(p.flow).record(rec["ok"])
+        elif receiver in self.dead:
+            self._drop(p, receiver, t, "no_route", detail="receiver_dead")
         else:
-            self.trace.append(rec)
-            if drained:
-                self._drop(p, receiver, t, "no_route", detail="receiver_dead")
-            else:
-                self._enqueue(receiver, p, t)
-        if drained:
-            self.queue.schedule(t, EventKind.ENERGY_DEPLETED, (receiver,))
-
-    def _on_energy_depleted(self, ev: Event) -> None:
-        (node,) = ev.payload
-        if node in self.dead:
-            return
-        self.dead.add(node)
-        self.trace.append({"k": "dep", "t": ev.time, "n": node})
+            self._enqueue(receiver, p, t)
 
     def _on_critical_event(self, ev: Event) -> None:
         t = ev.time
@@ -684,7 +652,7 @@ class Simulation:
             self.networks, positions, (x, y), r,
             w_density=self.weights[0], w_bandwidth=self.weights[1])
         self.grid.rearm()
-        sched.allocate_slots(self._candidates(t), self.grid, t)
+        sched.allocate_slots(self._candidates(t), self.grid)
         self._trace_alloc(t, "critical", idx)
         if bw_only:
             self.trace[-1]["bw_only"] = 1
@@ -731,7 +699,6 @@ class Simulation:
         EventKind.FRAME_BOUNDARY: _on_frame_boundary,
         EventKind.SLOT_TRANSMIT: _on_slot_transmit,
         EventKind.PACKET_DELIVERED: _on_packet_delivered,
-        EventKind.ENERGY_DEPLETED: _on_energy_depleted,
         EventKind.CRITICAL_EVENT: _on_critical_event,
         EventKind.PACKET_GENERATED: _on_packet_generated,
     }

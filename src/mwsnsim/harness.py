@@ -14,7 +14,7 @@ import os
 from . import metrics
 from .config import ScenarioConfig
 from .engine import Simulation, trace_from_jsonl, trace_to_jsonl
-from .radio import RadioParams, threshold_for_range
+from .radio import params_for_range
 
 
 class IoError(Exception):
@@ -91,12 +91,7 @@ def run_one(config: ScenarioConfig, seed: int, scheme: str) -> RunReport:
 def effective_radio_range(config: ScenarioConfig) -> tuple[float, float]:
     """(nominal range, reception threshold) the runs will use."""
     r = config["radio"]
-    base = RadioParams(
-        tx_power=r["tx_power"], tx_gain=r["tx_gain"], rx_gain=r["rx_gain"],
-        antenna_height_tx=r["antenna_height_tx"], antenna_height_rx=r["antenna_height_rx"],
-        system_loss=r["system_loss"], wavelength=config.wavelength, rx_threshold=1.0,
-    )
-    return r["nominal_range"], threshold_for_range(base, r["nominal_range"])
+    return r["nominal_range"], params_for_range(r, config.wavelength).rx_threshold
 
 
 def run_header_text(config: ScenarioConfig, seeds: list[int], schemes: list[str]) -> str:
@@ -160,7 +155,7 @@ def emit_report(
             exec_rows.append([rep.seed, rep.scheme, ev_idx,
                               ";".join(str(n) for n in rep.exec_orders[ev_idx])])
     _write_csv(_path("exec_order.csv"), ["seed", "scheme", "event", "order"], exec_rows)
-    _write_csv(_path("aggregate.csv"), ["scheme", "metric", "runs", "mean", "std"],
+    _write_csv(_path("aggregate.csv"), ["scheme", "metric", "runs", "mean", "std", "failed"],
                _aggregate_rows(reports, schemes))
     if write_traces:
         for rep in reports:
@@ -212,14 +207,16 @@ def run_experiment(
 AGGREGATE_METRICS = ["pdr_within_deadline", "mean_delay_s", "throughput_kbps", "delivered"]
 
 
-def _aggregate_rows(reports: list[RunReport], schemes: list[str]) -> list[list]:
+def _aggregate_rows(reports: list[RunReport | FailedRun], schemes: list[str]) -> list[list]:
     """Per-scheme mean and standard deviation of the headline metrics
-    across seeds."""
+    across the seeds that completed, with the count of those that failed."""
     rows = []
     for scheme in schemes:
         group = [rep for rep in reports
                  if rep.scheme == scheme and isinstance(rep, RunReport)]
-        if not group:
+        failed = sum(1 for rep in reports
+                     if rep.scheme == scheme and isinstance(rep, FailedRun))
+        if not group and not failed:
             continue
         values = {
             "pdr_within_deadline": [rep.pdr for rep in group],
@@ -230,12 +227,12 @@ def _aggregate_rows(reports: list[RunReport], schemes: list[str]) -> list[list]:
         for metric in AGGREGATE_METRICS:
             vals = values[metric]
             if not vals:
-                rows.append([scheme, metric, len(group), "", ""])
+                rows.append([scheme, metric, len(group), "", "", failed])
                 continue
             mean = sum(vals) / len(vals)
             var = sum((v - mean) ** 2 for v in vals) / len(vals)
             rows.append([scheme, metric, len(group),
-                         repr(round(mean, 6)), repr(round(math.sqrt(var), 6))])
+                         repr(round(mean, 6)), repr(round(math.sqrt(var), 6)), failed])
     return rows
 
 

@@ -138,14 +138,6 @@ def first_frame_grantees(trace: list[dict], event_index: int) -> set[int]:
     return set()
 
 
-def allocated_nodes(trace: list[dict], event_index: int) -> set[int]:
-    """Nodes holding frozen positions in the allocation made at the event."""
-    for rec in trace:
-        if rec["k"] == "alloc" and rec["ev"] == event_index:
-            return {entry[2] for entry in rec["a"]}
-    raise EventNotFound(f"no allocation for critical event {event_index}")
-
-
 def drop_breakdown(trace: list[dict]) -> dict[str, int]:
     out = {c: 0 for c in DROP_CAUSES}
     for rec in trace:

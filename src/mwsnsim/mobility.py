@@ -32,11 +32,6 @@ class MobilityClass(IntEnum):
     V_H = 2
 
 
-class Regime(IntEnum):
-    UNCONTROLLED = 0
-    CONTROLLED = 1
-
-
 @dataclass
 class MotionState:
     """Kinematic state of one node between mobility ticks."""
@@ -47,7 +42,6 @@ class MotionState:
     waypoint_y: float
     speed: float
     pause_until: float
-    regime: Regime = Regime.UNCONTROLLED
 
 
 def classify_mobility(speed: float, thresholds: tuple[float, float]) -> MobilityClass:
@@ -110,7 +104,6 @@ def waypoint_step(
         waypoint_y=wy,
         speed=speed,
         pause_until=pause_end,
-        regime=state.regime,
     )
 
 

@@ -10,7 +10,7 @@ which makes connectivity a deterministic disc model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -81,6 +81,18 @@ def threshold_for_range(params: RadioParams, nominal_range: float) -> float:
     if nominal_range <= 0:
         raise ValueError("nominal_range must be positive")
     return received_power(params, nominal_range)
+
+
+def params_for_range(section: dict, wavelength: float) -> RadioParams:
+    """Parameters from a config's radio section, with the reception threshold
+    set so the effective range equals section["nominal_range"]."""
+    base = RadioParams(
+        tx_power=section["tx_power"], tx_gain=section["tx_gain"], rx_gain=section["rx_gain"],
+        antenna_height_tx=section["antenna_height_tx"],
+        antenna_height_rx=section["antenna_height_rx"],
+        system_loss=section["system_loss"], wavelength=wavelength, rx_threshold=1.0,
+    )
+    return replace(base, rx_threshold=threshold_for_range(base, section["nominal_range"]))
 
 
 def in_range(params: RadioParams, a: tuple[float, float], b: tuple[float, float]) -> bool:

@@ -41,10 +41,6 @@ class UnknownNetwork(Exception):
     pass
 
 
-class OrphanNode(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class FlowParams:
     desired_pdr: float = 0.9
@@ -94,8 +90,13 @@ def compute_pi_mdlps(pdr: float, flow: FlowParams, ulb: float, v: float, x: floa
         raise ValueError("battery factor must be >= 1")
     if ulb < 0:
         raise ValueError("ulb must be non-negative")
-    pi = (pdr / flow.desired_pdr) * ulb * (1.0 / v) * x
-    return pdr_gate(pi, pdr, flow)
+    return mdlps_index(pdr, flow, ulb, v, x)
+
+
+def mdlps_index(pdr: float, flow: FlowParams, ulb: float, v: float, x: float) -> float:
+    """compute_pi_mdlps without the argument checks, for callers that
+    guarantee the ranges it validates (the engine's per-packet key)."""
+    return pdr_gate((pdr / flow.desired_pdr) * ulb * (1.0 / v) * x, pdr, flow)
 
 
 def compute_pi_data(importance: float) -> float:
@@ -222,7 +223,6 @@ class SlotGrid:
         self.assignment: dict[tuple[int, int], int | None] = {
             pos: None for pos in self.positions()
         }
-        self.frozen_since: float | None = None
         self.armed = True
         self.ever_allocated = False
 
@@ -245,17 +245,11 @@ class SlotGrid:
     def holder(self, pos: tuple[int, int]) -> int | None:
         return self.assignment[pos]
 
-    def position_of(self, node: int) -> tuple[int, int] | None:
-        for pos, holder in self.assignment.items():
-            if holder == node:
-                return pos
-        return None
-
     def assigned_nodes(self) -> set[int]:
         return {n for n in self.assignment.values() if n is not None}
 
 
-def allocate_slots(sources, grid: SlotGrid, t: float) -> SlotGrid:
+def allocate_slots(sources, grid: SlotGrid) -> SlotGrid:
     """Fill the grid with the best min(|sources|, capacity) tuples.
 
     Positions fill in scan order (frequency-major, then slot); the result is
@@ -272,7 +266,6 @@ def allocate_slots(sources, grid: SlotGrid, t: float) -> SlotGrid:
     for pos in grid.positions():
         assignment.setdefault(pos, None)
     grid.assignment = {pos: assignment[pos] for pos in grid.positions()}
-    grid.frozen_since = t
     grid.armed = False
     grid.ever_allocated = True
     return grid

@@ -23,8 +23,10 @@ class Expired(Exception):
     pass
 
 
-@dataclass
+@dataclass(eq=False)
 class Packet:
+    """One packet in flight; packets compare by identity."""
+
     id: int
     flow: str
     src: int

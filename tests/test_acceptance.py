@@ -127,7 +127,7 @@ def test_criterion_2_ordering_oracle():
             mismatches += 1
         grid = SlotGrid(int(rng.integers(1, 6)), int(rng.integers(1, 6)), 0.5)
         sources = [PriorityTuple(n1=int(rng.integers(1, 4)), n2=c) for c in cands]
-        allocate_slots(sources, grid, t=0.0)
+        allocate_slots(sources, grid)
         k = min(len(sources), grid.capacity)
         # brute-force top-k over the full tuple order: n1 groups ascending,
         # the reference comparator inside each group

@@ -2,6 +2,7 @@
 
 import pytest
 
+from mwsnsim import metrics
 from mwsnsim.config import validate_config
 from mwsnsim.engine import (
     BadRange,
@@ -244,6 +245,45 @@ def test_dead_holder_position_is_refilled_transiently():
                         if (f, s) == pos and other != node:
                             refilled = True
     assert refilled
+
+
+DRAINED = {"initial_energy": 0.5,
+           "energy": {"battery_threshold": 0.1},
+           "radio": {"nominal_range": 800.0}}
+DRAINED_IDLE = {"initial_energy": 0.5,
+                "energy": {"battery_threshold": 0.1, "idle_power": 0.01},
+                "radio": {"nominal_range": 800.0}}
+
+
+def _dead_nodes_stay_silent(trace) -> bool:
+    dead: set[int] = set()
+    for rec in trace:
+        if rec["k"] == "dep":
+            dead.add(rec["n"])
+        elif (rec["k"] == "tx" and rec["u"] in dead) or (rec["k"] == "rx" and rec["n"] in dead):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("overrides, seeds", [(DRAINED, range(1, 21)),
+                                              (DRAINED_IDLE, range(1, 11))],
+                         ids=["drained", "drained_idle"])
+def test_runs_complete_when_batteries_drain(overrides, seeds):
+    """A node drained mid-slot is dead at once: a second same-instant
+    delivery to it, or the frame-boundary idle drain, finds it dead instead
+    of charging an empty battery."""
+    cfg = validate_config(overrides)
+    depletions = 0
+    for seed in seeds:
+        for scheme in ("mdlps", "data"):
+            trace = Simulation(cfg, seed=seed, scheme=scheme).run()
+            where = (seed, scheme)
+            assert trace[-1]["k"] == "end", where
+            assert metrics.conservation(trace)["ok"], where
+            assert metrics.energy_monotone(trace), where
+            assert _dead_nodes_stay_silent(trace), where
+            depletions += len(metrics.depleted_nodes(trace))
+    assert depletions > 0
 
 
 def test_packet_in_flight_at_session_end_is_starved():

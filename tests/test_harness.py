@@ -378,6 +378,33 @@ def test_cli_run_writes_outputs(tmp_path, capsys):
     assert "4 run(s)" in capsys.readouterr().out
 
 
+def test_cli_run_reports_failed_runs(tmp_path, capsys, monkeypatch):
+    """Failed runs still get every output file, are counted per scheme in
+    aggregate.csv, and make the command exit nonzero with a count."""
+    import mwsnsim.harness as harness_mod
+    real_run_one = harness_mod.run_one
+
+    def flaky(config, seed, scheme):
+        if seed == 2:
+            raise RuntimeError("injected fault")
+        return real_run_one(config, seed, scheme)
+
+    monkeypatch.setattr(harness_mod, "run_one", flaky)
+    out = tmp_path / "out"
+    code = cli_main(["run", "--seeds", "3", "--scheduler", "both", "--out", str(out),
+                     "--config", str(_write_fast_cfg(tmp_path))])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == ["2 of 6 runs failed"]
+    for name in ("run_header.txt", "summary.csv", "exec_order.csv", "aggregate.csv",
+                 "ab_summary.csv", "trace_mdlps_s1.jsonl", "trace_data_s3.jsonl"):
+        assert (out / name).exists(), name
+    lines = (out / "aggregate.csv").read_text().splitlines()
+    assert lines[0] == "scheme,metric,runs,mean,std,failed"
+    rows = [row.split(",") for row in lines[1:]]
+    assert {row[0] for row in rows} == {"mdlps", "data"}
+    assert all(row[2] == "2" and row[5] == "1" for row in rows)
+
+
 def test_cli_rejects_bad_config(tmp_path, capsys):
     cfg_path = tmp_path / "bad.yaml"
     cfg_path.write_text("node_count: -3\n")

@@ -303,7 +303,7 @@ def test_oversubscribed_grid_keeps_best_twenty():
     pis = [float(v) for v in rng.uniform(0.1, 5.0, 22)]
     sources = _tuples(pis)
     grid = SlotGrid(4, 5, 0.5)
-    allocate_slots(sources, grid, t=10.0)
+    allocate_slots(sources, grid)
     assigned = grid.assigned_nodes()
     assert len(assigned) == 20
     best = {pt.node for pt in sorted(sources, key=tuple_key)[:20]}
@@ -314,7 +314,7 @@ def test_oversubscribed_grid_keeps_best_twenty():
 
 def test_undersubscribed_grid_leaves_empty_positions():
     grid = SlotGrid(2, 2, 0.5)
-    allocate_slots(_tuples([3.0, 1.0, 2.0]), grid, t=0.0)
+    allocate_slots(_tuples([3.0, 1.0, 2.0]), grid)
     holders = [grid.assignment[pos] for pos in grid.positions()]
     # scan order is frequency-major; best index first
     assert holders == [1, 2, 0, None]
@@ -328,20 +328,20 @@ def test_allocation_scan_order_is_frequency_major():
 
 def test_second_allocation_without_critical_event_forbidden():
     grid = SlotGrid(2, 2, 0.5)
-    allocate_slots(_tuples([1.0, 2.0]), grid, t=0.0)
+    allocate_slots(_tuples([1.0, 2.0]), grid)
     frozen = dict(grid.assignment)
     with pytest.raises(FrozenGrid):
-        allocate_slots(_tuples([0.5]), grid, t=1.0)
+        allocate_slots(_tuples([0.5]), grid)
     assert grid.assignment == frozen
     grid.rearm()
-    allocate_slots(_tuples([0.5]), grid, t=2.0)
+    allocate_slots(_tuples([0.5]), grid)
     assert grid.assignment != frozen
 
 
 def test_empty_grid_rejected():
     grid = SlotGrid(0, 5, 0.5)
     with pytest.raises(EmptyGrid):
-        allocate_slots(_tuples([1.0]), grid, t=0.0)
+        allocate_slots(_tuples([1.0]), grid)
 
 
 def test_allocation_membership_matches_brute_force_quick():
@@ -360,7 +360,7 @@ def test_allocation_membership_matches_brute_force_quick():
             for i in range(n)
         ]
         grid = SlotGrid(f, s, 0.5)
-        allocate_slots(cands, grid, t=0.0)
+        allocate_slots(cands, grid)
         k = min(n, f * s)
         expected = {pt.node for pt in sorted(cands, key=tuple_key)[:k]}
         assert grid.assigned_nodes() == expected
