@@ -1,0 +1,133 @@
+"""Time whole simulation runs and the connectivity layer at several fleet sizes.
+
+Single runs: 22, 200, 1000 and 2000 nodes on the stock 2000 x 2000 m terrain
+with the stock 250 m range, 3 cluster heads, 1 base station, a 20 s session,
+seed 1, mdlps. Each size is run several times in one process; the median
+and minimum wall time of `Simulation(...).run()` are reported.
+
+Per call: `radio.build_graph` and `traffic.hop_distances` on a uniform
+random layout of 22 nodes with the 800 m range of the event study, and of
+1000 nodes with the stock 250 m range. Each is timed in batches; the
+fastest batch mean is reported, which a busy machine disturbs least.
+
+The results of one invocation go into the output file under --label, next
+to those of earlier invocations, with the machine, Python and numpy
+versions. --src picks the source tree whose `mwsnsim` is timed, so two
+commits can be measured with the same script:
+
+    python benchmarks/bench.py --label parent --src /path/to/parent/src
+    python benchmarks/bench.py --label change
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+RUN_SIZES = {22: 7, 200: 5, 1000: 3, 2000: 3}  # node count -> repeats
+CALL_LAYOUTS = {22: 800.0, 1000: 250.0}  # node count -> nominal range (m)
+TERRAIN = 2000.0
+
+
+def run_config(n: int):
+    from mwsnsim import validate_config
+
+    return validate_config({"node_count": n, "cluster_heads": 3, "base_stations": 1,
+                            "session_duration": 20.0})
+
+
+def time_runs() -> dict:
+    from mwsnsim import Simulation
+
+    out = {}
+    for n, repeats in RUN_SIZES.items():
+        cfg = run_config(n)
+        times = []
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            trace = Simulation(cfg, seed=1, scheme="mdlps").run()
+            times.append(time.perf_counter() - t0)
+        out[str(n)] = {"median_s": statistics.median(times), "min_s": min(times),
+                       "repeats": repeats, "trace_records": len(trace)}
+        print(f"run n={n}: median {out[str(n)]['median_s']:.3f} s over {repeats}", flush=True)
+    return out
+
+
+def time_per_call(fn, target_s: float = 0.2, batches: int = 9) -> float:
+    """Fastest over batches of the mean seconds per call; a batch lasts
+    about target_s."""
+    fn()
+    t0 = time.perf_counter()
+    fn()
+    once = max(time.perf_counter() - t0, 1e-7)
+    number = max(1, int(target_s / once))
+    means = []
+    for _ in range(batches):
+        t0 = time.perf_counter()
+        for _ in range(number):
+            fn()
+        means.append((time.perf_counter() - t0) / number)
+    return min(means)
+
+
+def time_calls() -> tuple[dict, dict]:
+    import numpy as np
+    from mwsnsim import radio, traffic, validate_config
+
+    build, bfs = {}, {}
+    for n, nominal in CALL_LAYOUTS.items():
+        cfg = validate_config({"radio": {"nominal_range": nominal}})
+        params = radio.params_for_range(cfg["radio"], cfg.wavelength)
+        rng = np.random.default_rng(n)
+        px = rng.uniform(0.0, TERRAIN, n)
+        py = rng.uniform(0.0, TERRAIN, n)
+        ids = list(range(n))
+        graph = radio.build_graph(ids, px, py, params)
+        edges = len(graph.edges())
+        build[str(n)] = {"best_us": 1e6 * time_per_call(
+            lambda: radio.build_graph(ids, px, py, params)), "edges": edges,
+            "range_m": nominal}
+        bfs[str(n)] = {"best_us": 1e6 * time_per_call(
+            lambda: traffic.hop_distances(graph, n - 1)), "edges": edges, "range_m": nominal}
+        print(f"n={n}: build_graph {build[str(n)]['best_us']:.1f} us, "
+              f"hop_distances {bfs[str(n)]['best_us']:.1f} us, {edges} edges", flush=True)
+    return build, bfs
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--label", required=True, help="key of this invocation's results")
+    ap.add_argument("--src", default=os.path.join(HERE, "..", "src"),
+                    help="source tree that holds the mwsnsim package to time")
+    ap.add_argument("--out", default=os.path.join(HERE, "..", "BENCH_6.json"))
+    args = ap.parse_args(argv)
+    sys.path.insert(0, os.path.abspath(args.src))
+    import numpy as np
+    import mwsnsim
+
+    build, bfs = time_calls()
+    result = {"backend": mwsnsim.BACKEND, "runs": time_runs(),
+              "build_graph": build, "hop_distances": bfs}
+    doc = {}
+    if os.path.exists(args.out):
+        with open(args.out, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    doc["machine"] = {"platform": platform.platform(), "machine": platform.machine(),
+                      "cpus": os.cpu_count()}
+    doc["python"] = platform.python_version()
+    doc["numpy"] = np.__version__
+    doc.setdefault("results", {})[args.label] = result
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,4 +1,9 @@
-"""Hot numeric kernels: waypoint fleet stepping and all-pairs link power.
+"""Numeric kernels: waypoint fleet stepping and all-pairs link power.
+
+The engine steps the fleet with step_waypoints. It no longer calls
+pair_power: radio.build_graph tests only the pairs its cell grid yields, and
+the dense power matrix stays as the reference the graph tests compare
+against.
 
 Both kernels exist twice: a numba @njit version and a pure-numpy fallback.
 The backend is chosen once at import from the MWSNSIM_BACKEND environment

@@ -497,11 +497,13 @@ class Simulation:
     def _on_frame_boundary(self, ev: Event) -> None:
         t = ev.time
         self._orphans_this_frame = []
-        self._rebuild_graph(t)
+        # the frame's idle charge comes first, so a node it drains is out of
+        # the graph that routes this frame
         if self.costs.idle_power > 0:
             for node in self._alive():
                 energy_mod.consume_idle(self.battery[node], self.costs, self.frame_length)
                 self._note_depletion(node, t)
+        self._rebuild_graph(t)
         if not self.grid.ever_allocated:
             sources = self._candidates(t)
             if sources:
@@ -678,6 +680,9 @@ class Simulation:
             "k": "gen", "t": t, "p": p.id, "fl": flow_id, "src": src, "dst": dst,
             "sz": p.size, "dl": p.deadline, "imp": importance,
         })
+        if src in self.dead:
+            self._drop(p, src, t, "no_route", detail="source_dead")
+            return
         self._enqueue(src, p, t)
 
     def _on_packet_generated(self, ev: Event) -> None:

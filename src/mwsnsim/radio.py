@@ -5,16 +5,21 @@ Received power follows Friis (1/d^2) below the crossover distance
 d_c = 4*pi*h_t*h_r / lambda and the two-ray law (1/d^4) at and beyond it;
 the two branches coincide at d_c. Reception is a hard threshold on power,
 which makes connectivity a deterministic disc model.
+
+A uniform grid of cells whose side is the reception range yields the
+candidate pairs of the connectivity graph (a fixed-radius near-neighbour
+search; Bentley, Stanat & Williams, IPL 1977), and only those pairs go
+through the exact power test. Adjacency is held in compressed sparse rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from bisect import bisect_left
+from dataclasses import dataclass, replace
+from types import MappingProxyType
 
 import numpy as np
-
-from . import _kernels
 
 # distance clamp for co-located nodes when evaluating link power
 EPS_DISTANCE = 1e-6
@@ -83,6 +88,19 @@ def threshold_for_range(params: RadioParams, nominal_range: float) -> float:
     return received_power(params, nominal_range)
 
 
+def range_for_threshold(params: RadioParams) -> float:
+    """Distance at which received power falls to the reception threshold,
+    the inverse of received_power; inf when the threshold is 0."""
+    thr = params.rx_threshold
+    if thr == 0:
+        return math.inf
+    d_c = crossover_distance(params)
+    tworay = tworay_coefficient(params)
+    if thr <= tworay / (d_c * d_c * d_c * d_c):
+        return (tworay / thr) ** 0.25
+    return math.sqrt(friis_coefficient(params) / thr)
+
+
 def params_for_range(section: dict, wavelength: float) -> RadioParams:
     """Parameters from a config's radio section, with the reception threshold
     set so the effective range equals section["nominal_range"]."""
@@ -106,31 +124,92 @@ def in_range(params: RadioParams, a: tuple[float, float], b: tuple[float, float]
     return received_power(params, d) >= params.rx_threshold
 
 
-@dataclass
 class ConnectivityGraph:
-    """Undirected disc-model connectivity over a node subset.
+    """Undirected disc-model connectivity over a node subset, in compressed
+    sparse rows.
 
-    Adjacency lists are sorted ascending so traversals are deterministic.
+    nodes holds the node ids ascending, and row k belongs to nodes[k]: its
+    neighbours are the rows indices[indptr[k]:indptr[k + 1]], ascending, so
+    traversals are deterministic. The rows are also materialised once as
+    tuples of neighbour ids, which is what the per-node queries read; the
+    ids in them are the objects of `nodes`, shared rather than copied.
     """
 
-    nodes: tuple[int, ...]
-    adj: dict[int, tuple[int, ...]]
-    _dist: dict[tuple[int, int], float] = field(default_factory=dict)
+    def __init__(self, nodes: np.ndarray, indptr: np.ndarray, indices: np.ndarray):
+        self.indptr = indptr
+        self.indices = indices
+        self.nodes: tuple[int, ...] = tuple(nodes.tolist())
+        flat = np.array(self.nodes, dtype=object)[indices].tolist()
+        bounds = indptr.tolist()
+        self._rows: dict[int, tuple[int, ...]] = {
+            node: tuple(flat[lo:hi]) for node, lo, hi in zip(self.nodes, bounds, bounds[1:])}
 
     def __contains__(self, node: int) -> bool:
-        return node in self.adj
+        return node in self._rows
+
+    @property
+    def adj(self):
+        """Read-only mapping from each node to its ascending neighbours."""
+        return MappingProxyType(self._rows)
 
     def neighbors(self, node: int) -> tuple[int, ...]:
-        return self.adj[node]
+        return self._rows[node]
 
     def has_edge(self, a: int, b: int) -> bool:
-        return (a, b) in self._dist if a < b else (b, a) in self._dist
-
-    def edge_distance(self, a: int, b: int) -> float:
-        return self._dist[(a, b) if a < b else (b, a)]
+        """Binary search for b in a's row; False when either id is absent."""
+        row = self._rows.get(a, ())
+        k = bisect_left(row, b)
+        return k < len(row) and row[k] == b
 
     def edges(self) -> list[tuple[int, int]]:
-        return sorted(self._dist)
+        """Every edge once as (a, b) with a < b, sorted."""
+        ids = np.asarray(self.nodes, dtype=np.int64)
+        rows = np.repeat(np.arange(len(ids)), np.diff(self.indptr))
+        upper = rows < self.indices
+        return list(zip(ids[rows[upper]].tolist(), ids[self.indices[upper]].tolist()))
+
+
+# Cells are never smaller than this fraction of the layout's extent. That
+# bounds the cell coordinates when the range is tiny against the layout, so
+# the int64 cell keys cannot overflow and the rounding of a coordinate stays
+# far below the 1e-9 slack of the cell side; larger cells only add
+# candidates that the exact test rejects.
+_MIN_CELL_FRACTION = 2.0 ** -20
+
+
+def candidate_pairs(px: np.ndarray, py: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j), i != j, each unordered pair at most once, that
+    include every two points within `reach` of each other.
+
+    Points fall into square cells of side >= reach, so two such points share
+    a cell or sit in adjacent ones. Each point is paired with the later
+    points of its own cell and with every point of four of its cell's eight
+    neighbours, which covers each adjacent pair of cells once. An infinite
+    reach puts every point in one cell.
+    """
+    n = len(px)
+    if n == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    xy = np.array([px, py])
+    xy -= xy.min(axis=1, keepdims=True)
+    side = max(reach, float(xy.max()) * _MIN_CELL_FRACTION) or 1.0
+    cx, cy = np.floor(xy / side).astype(np.int64)
+    # one spare row per column, so the cy - 1 and cy + 1 neighbours of a
+    # column's end cells land on no occupied cell of the next column
+    ny = int(cy.max()) + 2
+    key = cx * ny + cy
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    # per point (in key order) the key ranges of its own cell, the next cell
+    # of its column and the three cells of the next column
+    target = (key[:, None] + np.array([0, 1, ny - 1, ny, ny + 1])).ravel()
+    first = np.searchsorted(key, target, "left")
+    first[::5] = np.arange(1, n + 1)
+    size = np.searchsorted(key, target, "right") - first
+    # the positions first[k], ..., first[k] + size[k] - 1, concatenated
+    ends = np.cumsum(size)
+    j = np.repeat(first - ends + size, size) + np.arange(ends[-1])
+    return order.repeat(5).repeat(size), order[j]
 
 
 def build_graph(ids, px: np.ndarray, py: np.ndarray, params: RadioParams) -> ConnectivityGraph:
@@ -138,25 +217,27 @@ def build_graph(ids, px: np.ndarray, py: np.ndarray, params: RadioParams) -> Con
 
     ids[i] is the node id whose position is (px[i], py[i]). An edge exists
     exactly when link power meets the reception threshold; the relation is
-    symmetric by construction.
+    symmetric by construction. Only the candidate pairs of the cell grid are
+    tested, with the same expression as received_power and in_range.
     """
-    ids = tuple(ids)
+    ids = np.asarray(ids, dtype=np.int64)
+    by_id = np.argsort(ids, kind="stable")
+    ids = ids[by_id]
+    px = np.asarray(px, dtype=float)[by_id]
+    py = np.asarray(py, dtype=float)[by_id]
     n = len(ids)
-    adj: dict[int, list[int]] = {node: [] for node in ids}
-    dist: dict[tuple[int, int], float] = {}
-    if n > 1:
-        power, dmat = _kernels.pair_power(
-            px, py, crossover_distance(params), friis_coefficient(params),
-            tworay_coefficient(params), EPS_DISTANCE,
-        )
-        connected = np.triu(power >= params.rx_threshold, k=1)
-        for i, j in zip(*np.nonzero(connected)):
-            a, b = ids[i], ids[j]
-            adj[a].append(b)
-            adj[b].append(a)
-            dist[(a, b) if a < b else (b, a)] = float(dmat[i, j])
-    return ConnectivityGraph(
-        nodes=ids,
-        adj={node: tuple(sorted(neigh)) for node, neigh in adj.items()},
-        _dist=dist,
-    )
+    i, j = candidate_pairs(px, py, range_for_threshold(params) * (1.0 + 1e-9))
+    dx = px[i] - px[j]
+    dy = py[i] - py[j]
+    d = np.maximum(np.sqrt(dx * dx + dy * dy), EPS_DISTANCE)
+    power = np.where(d < crossover_distance(params), friis_coefficient(params) / (d * d),
+                     tworay_coefficient(params) / (d * d * d * d))
+    linked = power >= params.rx_threshold
+    i = i[linked]
+    j = j[linked]
+    # row-major (row, column) codes of both directions of every edge; rows
+    # are positions in the id-sorted order, so the sorted codes are the CSR
+    codes = np.sort(np.concatenate([i * n + j, j * n + i]))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(codes // n, minlength=n), out=indptr[1:])
+    return ConnectivityGraph(ids, indptr, codes % n)

@@ -265,25 +265,75 @@ def _dead_nodes_stay_silent(trace) -> bool:
     return True
 
 
-@pytest.mark.parametrize("overrides, seeds", [(DRAINED, range(1, 21)),
-                                              (DRAINED_IDLE, range(1, 11))],
-                         ids=["drained", "drained_idle"])
-def test_runs_complete_when_batteries_drain(overrides, seeds):
+def _dead_sources_queue_nothing(trace) -> bool:
+    """Each packet of an already dead source is dropped as source_dead by
+    the record right after its gen, so it never reaches a queue."""
+    dead: set[int] = set()
+    for k, rec in enumerate(trace):
+        if rec["k"] == "dep":
+            dead.add(rec["n"])
+        elif rec["k"] == "gen" and rec["src"] in dead:
+            nxt = trace[k + 1]
+            if (nxt["k"], nxt.get("p"), nxt.get("c"), nxt.get("d")) != (
+                    "drop", rec["p"], "no_route", "source_dead"):
+                return False
+    return True
+
+
+_DRAINED_RUNS = {"drained": (DRAINED, range(1, 21)), "drained_idle": (DRAINED_IDLE, range(1, 11))}
+
+
+@pytest.fixture(scope="module")
+def drained_traces():
+    """(seed, scheme, trace) of every drained run, by config name; computed
+    once for the tests below."""
+    runs = {}
+    for name, (overrides, seeds) in _DRAINED_RUNS.items():
+        cfg = validate_config(overrides)
+        runs[name] = [(seed, scheme, Simulation(cfg, seed=seed, scheme=scheme).run())
+                      for seed in seeds for scheme in ("mdlps", "data")]
+    return runs
+
+
+@pytest.mark.parametrize("name", list(_DRAINED_RUNS), ids=list(_DRAINED_RUNS))
+def test_runs_complete_when_batteries_drain(name, drained_traces):
     """A node drained mid-slot is dead at once: a second same-instant
     delivery to it, or the frame-boundary idle drain, finds it dead instead
     of charging an empty battery."""
-    cfg = validate_config(overrides)
     depletions = 0
-    for seed in seeds:
-        for scheme in ("mdlps", "data"):
-            trace = Simulation(cfg, seed=seed, scheme=scheme).run()
-            where = (seed, scheme)
-            assert trace[-1]["k"] == "end", where
-            assert metrics.conservation(trace)["ok"], where
-            assert metrics.energy_monotone(trace), where
-            assert _dead_nodes_stay_silent(trace), where
-            depletions += len(metrics.depleted_nodes(trace))
+    for seed, scheme, trace in drained_traces[name]:
+        where = (seed, scheme)
+        assert trace[-1]["k"] == "end", where
+        assert metrics.conservation(trace)["ok"], where
+        assert metrics.energy_monotone(trace), where
+        assert _dead_nodes_stay_silent(trace), where
+        depletions += len(metrics.depleted_nodes(trace))
     assert depletions > 0
+
+
+@pytest.mark.parametrize("name", list(_DRAINED_RUNS), ids=list(_DRAINED_RUNS))
+def test_dead_source_generates_nothing(name, drained_traces):
+    source_dead = 0
+    for seed, scheme, trace in drained_traces[name]:
+        assert _dead_sources_queue_nothing(trace), (seed, scheme)
+        assert metrics.conservation(trace)["ok"], (seed, scheme)
+        source_dead += sum(1 for rec in trace if rec.get("d") == "source_dead")
+    assert source_dead > 0
+
+
+def test_node_drained_at_a_boundary_routes_nothing_that_frame(drained_traces):
+    """The boundary's idle charge precedes the graph rebuild: no packet is
+    sent to a node that was dead when its frame started."""
+    for seed, scheme, trace in drained_traces["drained_idle"]:
+        died: dict[int, float] = {}
+        frame_start = 0.0
+        for rec in trace:
+            if rec["k"] == "dep":
+                died[rec["n"]] = rec["t"]
+            elif rec["k"] == "frame":
+                frame_start = rec["t"]
+            elif rec["k"] == "tx" and rec["v"] in died:
+                assert died[rec["v"]] > frame_start, (seed, scheme, rec)
 
 
 def test_packet_in_flight_at_session_end_is_starved():

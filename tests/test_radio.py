@@ -1,18 +1,30 @@
 """Two-ray/free-space path loss, threshold reception, connectivity graph."""
 
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mwsnsim
+from mwsnsim import _kernels
 from mwsnsim.radio import (
+    EPS_DISTANCE,
     RadioParams,
     ZeroDistance,
     build_graph,
     crossover_distance,
+    friis_coefficient,
     in_range,
+    range_for_threshold,
     received_power,
     threshold_for_range,
+    tworay_coefficient,
 )
 
 
@@ -114,8 +126,9 @@ def test_two_nodes_at_half_range_share_an_edge():
     thr = threshold_for_range(_params(), 250.0)
     p = _params(rx_threshold=thr)
     g = build_graph([0, 1], np.array([0.0, 125.0]), np.array([0.0, 0.0]), p)
-    assert g.has_edge(0, 1)
-    assert g.edge_distance(0, 1) == pytest.approx(125.0, rel=1e-12)
+    assert g.has_edge(0, 1) and g.has_edge(1, 0)
+    assert g.edges() == [(0, 1)]
+    assert g.neighbors(0) == (1,) and g.neighbors(1) == (0,)
 
 
 def test_graph_matches_brute_force_all_pairs():
@@ -144,6 +157,90 @@ def test_separated_clusters_are_disconnected_components():
     g = build_graph([0, 1, 2, 3, 4], px, py, p)
     assert g.has_edge(0, 1) and g.has_edge(1, 2) and g.has_edge(3, 4)
     assert not g.has_edge(2, 3)
+
+
+def _dense_edges(ids, px, py, p):
+    """Edge set by the all-pairs power matrix of the dense kernel."""
+    power, _ = _kernels.pair_power_numpy(
+        np.asarray(px, dtype=float), np.asarray(py, dtype=float), crossover_distance(p),
+        friis_coefficient(p), tworay_coefficient(p), EPS_DISTANCE)
+    i, j = np.nonzero(np.triu(power >= p.rx_threshold, k=1))
+    return {tuple(sorted((ids[a], ids[b]))) for a, b in zip(i.tolist(), j.tolist())}
+
+
+@st.composite
+def _layouts(draw):
+    """Node layouts whose coordinates are often quarter steps of the range,
+    so pairs sit exactly at the range and nodes share positions; unsorted
+    gapped ids; ranges from tiny to wider than the layout, or no threshold."""
+    n = draw(st.integers(0, 30))
+    nominal = draw(st.sampled_from([1e-12, 0.5, 10.0, 86.0, 250.0, 800.0, 5000.0, None]))
+    step = (nominal or 250.0) / 4
+    coord = st.one_of(st.integers(0, 40).map(lambda k: k * step),
+                      st.floats(0.0, 2000.0, allow_nan=False))
+    px = [draw(coord) for _ in range(n)]
+    py = [draw(coord) for _ in range(n)]
+    ids = draw(st.permutations(draw(st.lists(st.integers(0, 10_000), min_size=n, max_size=n,
+                                             unique=True))))
+    thr = 0.0 if nominal is None else threshold_for_range(_params(), nominal)
+    return ids, np.array(px, dtype=float), np.array(py, dtype=float), _params(rx_threshold=thr)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_layouts())
+def test_graph_edges_equal_dense_rule(layout):
+    ids, px, py, p = layout
+    g = build_graph(ids, px, py, p)
+    expected = _dense_edges(ids, px, py, p)
+    assert set(g.edges()) == expected
+    assert g.nodes == tuple(sorted(ids))
+    for node in ids:
+        row = g.neighbors(node)
+        assert list(row) == sorted(row)
+        assert set(row) == ({b for a, b in expected if a == node}
+                            | {a for a, b in expected if b == node})
+        assert not g.has_edge(node, max(ids) + 1)
+    assert not g.has_edge(-1, ids[0] if ids else 0)
+
+
+def test_pairs_at_the_range_are_found_across_cell_boundaries():
+    """A pair exactly one range apart is found wherever it sits against the
+    cell boundaries, including a hair below one."""
+    nominal = 250.0
+    p = _params(rx_threshold=threshold_for_range(_params(), nominal))
+    found = 0
+    for f in np.linspace(-5e-9, 5e-9, 101):
+        a = 3.0 * nominal * (1.0 + f)
+        px = np.array([0.0, a, a + nominal])
+        g = build_graph([0, 1, 2], px, np.zeros(3), p)
+        assert set(g.edges()) == _dense_edges([0, 1, 2], px, np.zeros(3), p), f
+        found += g.has_edge(1, 2)
+    assert found > 0
+
+
+def test_range_for_threshold_without_threshold_is_infinite():
+    assert range_for_threshold(_params(rx_threshold=0.0)) == math.inf
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.one_of(st.floats(1e-3, 1e5), st.sampled_from([86.0, 86.2, 86.3])))
+def test_range_for_threshold_inverts_threshold_for_range(nominal):
+    p = replace(_params(), rx_threshold=threshold_for_range(_params(), nominal))
+    assert range_for_threshold(p) == pytest.approx(nominal, rel=1e-12)
+
+
+def test_simulation_does_not_import_scipy():
+    """The engine's graph and routing run on numpy alone: scipy costs tens
+    of megabytes of resident memory per process."""
+    code = ("import sys, mwsnsim\n"
+            "from mwsnsim import Simulation, validate_config\n"
+            "Simulation(validate_config({'session_duration': 12.0}), seed=1).run()\n"
+            "print('scipy' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(mwsnsim.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_param_validation():

@@ -1,8 +1,12 @@
 """CBR generation, bounded priority queues, hop-count routing, delivery
 tracking, and the scripted per-hop delivery behaviors."""
 
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mwsnsim.config import validate_config
 from mwsnsim.engine import Simulation
@@ -38,15 +42,31 @@ def _packet(pid=0, deadline=100.0, importance=0.5, **kw):
 
 
 def _graph(edges, nodes=None):
-    nodes = tuple(sorted(nodes or {n for e in edges for n in e}))
-    adj = {n: [] for n in nodes}
-    dist = {}
+    """ConnectivityGraph over the given undirected edges: CSR rows over the
+    ascending node ids, each listing its neighbours' row numbers."""
+    ids = sorted(nodes or {n for e in edges for n in e})
+    neighbours = [{b for a, b in edges if a == n} | {a for a, b in edges if b == n} for n in ids]
+    rows = [[k for k, node in enumerate(ids) if node in near] for near in neighbours]
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    indices = np.array([k for row in rows for k in row], dtype=np.int64)
+    return ConnectivityGraph(np.array(ids, dtype=np.int64), indptr, indices)
+
+
+def _reference_hops(edges, dst):
+    """Hop counts to dst by a plain deque BFS over an adjacency dict."""
+    adj = {}
     for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-        dist[(min(a, b), max(a, b))] = 1.0
-    return ConnectivityGraph(nodes=nodes, adj={n: tuple(sorted(v)) for n, v in adj.items()},
-                             _dist=dist)
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    dist = {dst: 0}
+    frontier = deque([dst])
+    while frontier:
+        u = frontier.popleft()
+        for v in adj.get(u, ()):
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                frontier.append(v)
+    return dist
 
 
 # CBR generation ------------------------------------------------------------
@@ -212,6 +232,31 @@ def test_next_hop_is_lowest_id_closer_neighbor():
 def test_route_to_self_is_trivial():
     g = _graph([(0, 1)])
     assert shortest_hop_route(g, 0, 0) == [0]
+
+
+@st.composite
+def _edge_lists(draw):
+    """Random undirected graphs over gapped ids, with isolated nodes."""
+    ids = draw(st.lists(st.integers(0, 500), min_size=1, max_size=25, unique=True))
+    pairs = [(a, b) for k, a in enumerate(ids) for b in ids[k + 1:]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return ids, edges, draw(st.sampled_from(ids))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_edge_lists())
+def test_hop_distances_match_reference_bfs(case):
+    ids, edges, dst = case
+    g = _graph(edges, nodes=ids)
+    dist = hop_distances(g, dst)
+    assert dist == _reference_hops(edges, dst)
+    for node, hops in dist.items():
+        closer = [v for v in g.neighbors(node) if dist.get(v) == hops - 1]
+        assert next_hop(g, dist, node) == (min(closer) if closer else None)
+
+
+def test_hop_distances_to_absent_node_is_empty():
+    assert hop_distances(_graph([(0, 1)]), 7) == {}
 
 
 # scripted per-hop behavior ----------------------------------------------------
