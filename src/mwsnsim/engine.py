@@ -561,14 +561,8 @@ class Simulation:
         key_fn = self._key_fn(node, t)
         px, py = self._positions(t)
         for p in q.sorted_items(key_fn):
-            hops = self._hops_from(node, p.dst)
-            if hops is None:
-                p.strikes += 1
-                if p.strikes >= 2:
-                    q.remove(p)
-                    self._drop(p, node, t, "no_route")
-                continue
-            hop = traffic_mod.next_hop(self.graph, self.dist_maps[p.dst], node)
+            dmap = self.dist_maps.get(p.dst, {})
+            hop = traffic_mod.next_hop(self.graph, dmap, node)
             if hop is None:
                 p.strikes += 1
                 if p.strikes >= 2:
@@ -584,6 +578,7 @@ class Simulation:
                 else:
                     self.trace.append({"k": "lb", "t": t, "p": p.id, "u": node, "v": hop})
                 break
+            hops = dmap[node]
             q.remove(p)
             p.strikes = 0
             p.retries = 0

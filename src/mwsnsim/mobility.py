@@ -3,14 +3,11 @@ the three-level speed classification taken at critical-event time.
 
 Sensors roam the whole terrain (uncontrolled regime); cluster heads and base
 stations cycle a small fixed patrol loop at a capped speed (controlled
-regime). The fleet-level stepper runs through the accelerated kernels; the
-single-node `waypoint_step` is the reference form of the same rule.
+regime). `MobilityField` holds the one waypoint rule.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
 from enum import IntEnum
 
 import numpy as np
@@ -32,18 +29,6 @@ class MobilityClass(IntEnum):
     V_H = 2
 
 
-@dataclass
-class MotionState:
-    """Kinematic state of one node between mobility ticks."""
-
-    x: float
-    y: float
-    waypoint_x: float
-    waypoint_y: float
-    speed: float
-    pause_until: float
-
-
 def classify_mobility(speed: float, thresholds: tuple[float, float]) -> MobilityClass:
     """Map a speed to V_L / V_M / V_H. Boundary speeds classify upward."""
     v1, v2 = thresholds
@@ -62,58 +47,16 @@ def snapshot_classes(speeds: dict[int, float], thresholds: tuple[float, float]) 
     return {node: classify_mobility(v, thresholds) for node, v in sorted(speeds.items())}
 
 
-def waypoint_step(
-    state: MotionState,
-    dt: float,
-    bounds: tuple[float, float],
-    rng,
-    speed_range: tuple[float, float] = (1.0, 20.0),
-    pause_time: float = 2.0,
-    now: float = 0.0,
-) -> MotionState:
-    """Advance one node by dt seconds of random-waypoint motion.
-
-    Moves min(speed*dt, distance) toward the waypoint; on arrival the node
-    pauses for pause_time, then (once the pause has elapsed) draws a new
-    uniform waypoint inside bounds and a new uniform speed from speed_range.
-    """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if state.pause_until > now:
-        return replace(state)
-    dx = state.waypoint_x - state.x
-    dy = state.waypoint_y - state.y
-    dist = math.sqrt(dx * dx + dy * dy)
-    adv = state.speed * dt
-    if adv < dist:
-        frac = adv / dist
-        return replace(state, x=state.x + dx * frac, y=state.y + dy * frac)
-    # arrived: snap to the waypoint and start the pause
-    t_arrive = now + (dist / state.speed if dist > 0 and state.speed > 0 else 0.0)
-    pause_end = t_arrive + pause_time
-    if pause_end > now + dt:
-        return replace(state, x=state.waypoint_x, y=state.waypoint_y, pause_until=pause_end)
-    # pause already over within this step: draw the next leg
-    wx = rng.uniform(0.0, bounds[0])
-    wy = rng.uniform(0.0, bounds[1])
-    speed = rng.uniform(*speed_range)
-    return MotionState(
-        x=state.waypoint_x,
-        y=state.waypoint_y,
-        waypoint_x=wx,
-        waypoint_y=wy,
-        speed=speed,
-        pause_until=pause_end,
-    )
-
-
 class MobilityField:
-    """Kinematic state for the whole fleet, stepped in bulk through the
-    accelerated kernels and interpolated between ticks.
+    """Kinematic state for the whole fleet: random-waypoint motion stepped
+    in bulk by `_kernels.step_waypoints` and interpolated between ticks.
 
-    Draw order is fixed (ascending node id), so a given mobility stream seed
-    reproduces identical paths regardless of what the rest of the simulation
-    does.
+    A node that reaches its waypoint at t_arr pauses until t_arr +
+    pause_time. Its next leg is drawn at the first tick whose window starts
+    (the previous tick) at or after that pause end, and the leg's motion
+    counts from the window start. Draws within a tick come in ascending node
+    id, so a given mobility stream seed reproduces identical paths
+    regardless of what the rest of the simulation does.
     """
 
     def __init__(
@@ -207,12 +150,6 @@ class MobilityField:
         if dt > 0:
             _kernels.step_waypoints(px, py, self.wx, self.wy, self.speed, self.pause_until, self.last_tick, dt)
         return px, py
-
-    def position_of(self, node: int, t: float) -> tuple[float, float]:
-        if not (0 <= node < self.n):
-            raise UnknownNode(f"no node {node}")
-        px, py = self.positions_at(t)
-        return float(px[node]), float(py[node])
 
     def instantaneous_speed(self, node: int, t: float) -> float:
         if not (0 <= node < self.n):

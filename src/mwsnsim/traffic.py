@@ -15,10 +15,6 @@ from dataclasses import dataclass
 from .scheduler import FlowParams
 
 
-class NoRoute(Exception):
-    pass
-
-
 class Expired(Exception):
     pass
 
@@ -183,21 +179,3 @@ def next_hop(graph, dist: dict[int, int], node: int) -> int | None:
             return v
     return None
 
-
-def shortest_hop_route(graph, src: int, dst: int) -> list[int]:
-    """Minimum-hop path from src to dst; among equal-hop paths the
-    lexicographically smallest node sequence. Raises NoRoute when
-    disconnected."""
-    if src not in graph or dst not in graph:
-        raise NoRoute(f"{src} -> {dst}: node missing from graph")
-    if src == dst:
-        return [src]
-    dist = hop_distances(graph, dst)
-    if src not in dist:
-        raise NoRoute(f"{src} -> {dst}: disconnected")
-    route = [src]
-    node = src
-    while node != dst:
-        node = next_hop(graph, dist, node)
-        route.append(node)
-    return route

@@ -3,8 +3,6 @@ set of (config, seed, scheme) runs.
 
 A refactor that must keep behaviour keeps these hashes. A change that alters
 a trace on purpose updates the hash here and names the cause in CHANGES.md.
-The `hdr` record names the active kernel backend, so the hashes hold only
-for the numpy backend.
 """
 
 import hashlib
@@ -12,7 +10,6 @@ from pathlib import Path
 
 import pytest
 
-import mwsnsim
 from mwsnsim.config import load_config, validate_config
 from mwsnsim.engine import Simulation, trace_to_jsonl
 
@@ -58,8 +55,6 @@ def trace_hash(source, seed: int, scheme: str) -> str:
     return hashlib.sha256(trace_to_jsonl(trace).encode("utf-8")).hexdigest()
 
 
-@pytest.mark.skipif(mwsnsim.BACKEND != "numpy",
-                    reason="the hdr record names the backend; hashes are for numpy")
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_trace_hash_is_unchanged(name):
     source, seed, scheme, expected = GOLDEN[name]

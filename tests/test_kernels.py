@@ -1,63 +1,9 @@
-"""Accelerated kernels: numba and numpy backends must agree, and the
-environment flag must select the backend.
-
-Without numba the active kernels are the numpy ones, so the agreement tests
-also run the undecorated loop forms that numba compiles; that keeps the
-loop/numpy agreement checked on every machine."""
-
-import os
-import subprocess
-import sys
+"""The dense all-pairs power kernel that the graph tests use as their
+reference."""
 
 import numpy as np
-import pytest
 
 from mwsnsim import _kernels
-
-
-def _random_fleet(rng, n):
-    px = rng.uniform(0, 2000, n)
-    py = rng.uniform(0, 2000, n)
-    wx = rng.uniform(0, 2000, n)
-    wy = rng.uniform(0, 2000, n)
-    speed = rng.uniform(0, 20, n)
-    pause = rng.choice([-1.0, 5.0], n)
-    return px, py, wx, wy, speed, pause
-
-
-def test_step_backends_agree():
-    rng = np.random.default_rng(21)
-    for n in (1, 7, 64):
-        px, py, wx, wy, speed, pause = _random_fleet(rng, n)
-        px_a, py_a = px.copy(), py.copy()
-        px_b, py_b = px.copy(), py.copy()
-        t_a = _kernels.step_waypoints(px_a, py_a, wx, wy, speed, pause, 1.0, 0.1)
-        t_b = _kernels.step_waypoints_numpy(px_b, py_b, wx, wy, speed, pause, 1.0, 0.1)
-        np.testing.assert_allclose(px_a, px_b, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(py_a, py_b, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(t_a, t_b, rtol=1e-12, atol=1e-12)
-        px_c, py_c = px.copy(), py.copy()
-        t_c = _kernels._step_waypoints_jit(px_c, py_c, wx, wy, speed, pause, 1.0, 0.1)
-        np.testing.assert_allclose(px_c, px_b, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(py_c, py_b, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(t_c, t_b, rtol=1e-12, atol=1e-12)
-
-
-def test_pair_power_backends_agree():
-    rng = np.random.default_rng(22)
-    for n in (2, 22, 80):
-        px = rng.uniform(0, 2000, n)
-        py = rng.uniform(0, 2000, n)
-        p_a, d_a = _kernels.pair_power(px, py, 86.0, 1e-3, 5.0, 1e-6)
-        p_b, d_b = _kernels.pair_power_numpy(px, py, 86.0, 1e-3, 5.0, 1e-6)
-        np.testing.assert_allclose(d_a, d_b, rtol=1e-12)
-        off_diag = ~np.eye(n, dtype=bool)
-        np.testing.assert_allclose(p_a[off_diag], p_b[off_diag], rtol=1e-12)
-        assert np.all(np.isinf(np.diag(p_a))) and np.all(np.isinf(np.diag(p_b)))
-        p_c, d_c = _kernels._pair_power_jit(px, py, 86.0, 1e-3, 5.0, 1e-6)
-        np.testing.assert_allclose(d_c, d_b, rtol=1e-12)
-        np.testing.assert_allclose(p_c[off_diag], p_b[off_diag], rtol=1e-12)
-        assert np.all(np.isinf(np.diag(p_c)))
 
 
 def test_pair_power_clamps_colocated_nodes():
@@ -66,66 +12,3 @@ def test_pair_power_clamps_colocated_nodes():
     power, dist = _kernels.pair_power(px, py, 86.0, 1.0, 1.0, 1e-6)
     assert dist[0, 1] == 0.0
     assert np.isfinite(power[0, 1]) and power[0, 1] > 0
-
-
-def _backend_in_subprocess(value):
-    env = dict(os.environ)
-    if value is None:
-        env.pop("MWSNSIM_BACKEND", None)
-    else:
-        env["MWSNSIM_BACKEND"] = value
-    out = subprocess.run(
-        [sys.executable, "-c", "from mwsnsim import BACKEND; print(BACKEND)"],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    return out.stdout.strip()
-
-
-def test_env_flag_selects_numpy_backend():
-    assert _backend_in_subprocess("numpy") == "numpy"
-
-
-def test_default_backend_is_numba_when_available():
-    """Unset, the backend is numba when it imports and numpy otherwise."""
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        expected = "numpy"
-    else:
-        expected = "numba"
-    assert _backend_in_subprocess(None) == expected
-
-
-def test_bogus_backend_rejected():
-    env = dict(os.environ, MWSNSIM_BACKEND="fortran")
-    out = subprocess.run(
-        [sys.executable, "-c", "import mwsnsim"],
-        capture_output=True, text=True, env=env,
-    )
-    assert out.returncode != 0
-    assert "MWSNSIM_BACKEND" in out.stderr
-
-
-def test_numpy_backend_runs_the_simulator():
-    """A short run under the fallback backend matches the active backend's
-    packet accounting."""
-    pytest.importorskip("numba")
-    code = (
-        "from mwsnsim import validate_config, Simulation\n"
-        "import json\n"
-        "cfg = validate_config({'node_count': 8, 'cluster_heads': 1, 'base_stations': 1,\n"
-        "  'session_duration': 6.0, 'flow_count': 2,\n"
-        "  'terrain_area': {'width': 300.0, 'height': 300.0},\n"
-        "  'radio': {'nominal_range': 500.0}})\n"
-        "trace = Simulation(cfg, seed=4, scheme='mdlps').run()\n"
-        "gens = sum(1 for r in trace if r['k'] == 'gen')\n"
-        "finals = sum(1 for r in trace if r['k'] == 'rx' and r['fin'] == 1)\n"
-        "print(json.dumps([gens, finals]))\n"
-    )
-    results = {}
-    for backend in ("numpy", "numba"):
-        env = dict(os.environ, MWSNSIM_BACKEND=backend)
-        out = subprocess.run([sys.executable, "-c", code],
-                             capture_output=True, text=True, env=env, check=True)
-        results[backend] = out.stdout.strip()
-    assert results["numpy"] == results["numba"]

@@ -1,65 +1,194 @@
-"""Waypoint kinematics and the three-level speed classification."""
+"""Waypoint kinematics and the three-level speed classification.
+
+The waypoint rule is `MobilityField` stepping the fleet through
+`_kernels.step_waypoints`; these tests check that rule, the one the engine
+runs."""
+
+import copy
 
 import numpy as np
 import pytest
 
+from mwsnsim import _kernels
 from mwsnsim.config import validate_config
 from mwsnsim.engine import RandomStream, Simulation
 from mwsnsim.mobility import (
     BadThresholds,
     MobilityClass,
     MobilityField,
-    MotionState,
     UnknownNode,
     classify_mobility,
     snapshot_classes,
-    waypoint_step,
 )
+
+
+def _step_waypoints_loop(px, py, wx, wy, speed, pause_until, now, dt):
+    """Scalar oracle for `_kernels.step_waypoints`: the same rule, one node
+    at a time."""
+    n = px.shape[0]
+    t_arr = np.full(n, -1.0)
+    for i in range(n):
+        if pause_until[i] > now:
+            continue
+        dx = wx[i] - px[i]
+        dy = wy[i] - py[i]
+        dist = np.sqrt(dx * dx + dy * dy)
+        adv = speed[i] * dt
+        if adv >= dist:
+            px[i] = wx[i]
+            py[i] = wy[i]
+            if dist > 0.0 and speed[i] > 0.0:
+                t_arr[i] = now + dist / speed[i]
+            else:
+                t_arr[i] = now
+        else:
+            frac = adv / dist
+            px[i] += dx * frac
+            py[i] += dy * frac
+    return t_arr
+
+
+def _step_one(x, y, wx, wy, speed, pause_until, now, dt):
+    """step_waypoints on a one-node fleet; returns (x, y, t_arr)."""
+    px, py = np.array([x]), np.array([y])
+    t_arr = _kernels.step_waypoints(px, py, np.array([wx]), np.array([wy]),
+                                    np.array([speed]), np.array([pause_until]), now, dt)
+    return px[0], py[0], t_arr[0]
 
 
 def test_step_advances_along_unit_vector():
     # 5 m/s for 0.5 s toward (3,4): unit vector (0.6, 0.8) scaled by 2.5 m
-    state = MotionState(x=0.0, y=0.0, waypoint_x=3.0, waypoint_y=4.0,
-                        speed=5.0, pause_until=-1.0)
-    out = waypoint_step(state, 0.5, (100.0, 100.0), RandomStream(1, "mobility"))
-    assert out.x == pytest.approx(1.5, abs=1e-12)
-    assert out.y == pytest.approx(2.0, abs=1e-12)
+    x, y, t_arr = _step_one(0.0, 0.0, 3.0, 4.0, speed=5.0, pause_until=-1.0, now=0.0, dt=0.5)
+    assert x == pytest.approx(1.5, abs=1e-12)
+    assert y == pytest.approx(2.0, abs=1e-12)
+    assert t_arr == -1.0
 
 
 def test_paused_node_does_not_move():
-    state = MotionState(x=7.0, y=7.0, waypoint_x=7.0, waypoint_y=7.0,
-                        speed=3.0, pause_until=10.0)
-    out = waypoint_step(state, 0.5, (100.0, 100.0), RandomStream(1, "mobility"), now=1.0)
-    assert (out.x, out.y) == (7.0, 7.0)
+    x, y, t_arr = _step_one(7.0, 7.0, 20.0, 20.0, speed=3.0, pause_until=10.0, now=1.0, dt=0.5)
+    assert (x, y) == (7.0, 7.0)
+    assert t_arr == -1.0
+
+
+def test_step_matches_scalar_oracle():
+    """The vectorised stepper agrees with the scalar loop on random fleets
+    that include speed 0, distance 0 and paused nodes."""
+    rng = np.random.default_rng(21)
+    for n in (1, 7, 64, 300):
+        px = rng.uniform(0, 2000, n)
+        py = rng.uniform(0, 2000, n)
+        wx = rng.uniform(0, 2000, n)
+        wy = rng.uniform(0, 2000, n)
+        speed = rng.uniform(0, 20, n)
+        speed[rng.random(n) < 0.2] = 0.0
+        at_waypoint = rng.random(n) < 0.2
+        wx[at_waypoint] = px[at_waypoint]
+        wy[at_waypoint] = py[at_waypoint]
+        # some legs end within the step, so arrivals are exercised too
+        near = rng.random(n) < 0.3
+        wx[near] = px[near] + rng.uniform(-1.0, 1.0, near.sum())
+        pause = rng.choice([-1.0, 1.0, 5.0], n)
+        for now, dt in ((1.0, 0.1), (1.0, 0.5), (7.5, 2.0)):
+            px_a, py_a = px.copy(), py.copy()
+            px_b, py_b = px.copy(), py.copy()
+            t_a = _kernels.step_waypoints(px_a, py_a, wx, wy, speed, pause, now, dt)
+            t_b = _step_waypoints_loop(px_b, py_b, wx, wy, speed, pause, now, dt)
+            np.testing.assert_allclose(px_a, px_b, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(py_a, py_b, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(t_a, t_b, rtol=1e-12, atol=1e-12)
+
+
+def _field(n=22, terrain=(2000.0, 2000.0), seed=1, controlled=None, **kw):
+    rng = RandomStream(seed, "mobility")
+    patrol = RandomStream(seed, "placement")
+    place = RandomStream(seed + 100, "placement")
+    pos = np.array([[place.uniform(0, terrain[0]), place.uniform(0, terrain[1])]
+                    for _ in range(n)])
+    if controlled is None:
+        controlled = np.zeros(n, dtype=bool)
+    return MobilityField(pos, controlled, terrain, rng, patrol, **kw)
+
+
+def _one_node_leg(field, i, x, y, wx, wy, speed, t0):
+    """Put node i on a known leg that starts at tick time t0."""
+    field.px[i], field.py[i] = x, y
+    field.wx[i], field.wy[i] = wx, wy
+    field.speed[i] = speed
+    field.pause_until[i] = -1.0
+    field.needs_leg[i] = False
+    field.last_tick = t0
 
 
 def test_arrival_snaps_to_waypoint_and_pauses():
-    state = MotionState(x=0.0, y=0.0, waypoint_x=1.0, waypoint_y=0.0,
-                        speed=10.0, pause_until=-1.0)
-    out = waypoint_step(state, 0.5, (100.0, 100.0), RandomStream(1, "mobility"),
-                        pause_time=2.0, now=0.0)
-    assert (out.x, out.y) == (1.0, 0.0)
-    assert out.pause_until == pytest.approx(0.1 + 2.0)
+    # 1 m at 10 m/s from the 0.3 s tick: arrival at 0.4 s, pause 2 s
+    field = _field(n=1, pause_time=2.0)
+    _one_node_leg(field, 0, 0.0, 0.0, 1.0, 0.0, 10.0, t0=0.3)
+    field.tick(0.8)
+    assert (field.px[0], field.py[0]) == (1.0, 0.0)
+    assert field.pause_until[0] == pytest.approx(0.4 + 2.0, abs=1e-12)
+    assert field.needs_leg[0]
+    # the kernel itself reports t_arr = now + dist/speed
+    _, _, t_arr = _step_one(0.0, 0.0, 1.0, 0.0, speed=10.0, pause_until=-1.0, now=0.3, dt=0.5)
+    assert t_arr == pytest.approx(0.4, abs=1e-12)
 
 
-def test_step_rejects_nonpositive_dt():
-    state = MotionState(0, 0, 1, 1, 1.0, -1.0)
+@pytest.mark.parametrize("pause_time, draw_tick", [(0.4, 1.0), (0.45, 1.5)])
+def test_new_leg_drawn_at_first_tick_after_pause(pause_time, draw_tick):
+    """Arrival at 0.1 s; the pause ends at 0.1 + pause_time. The next leg is
+    drawn at the first tick whose previous tick is at or after the pause
+    end (0.5 s exactly draws at the 1.0 s tick; 0.55 s waits for 1.5 s), and
+    its motion counts from that previous tick."""
+    field = _field(n=1, terrain=(50.0, 50.0), speed_range=(2.0, 4.0), pause_time=pause_time)
+    _one_node_leg(field, 0, 0.0, 0.0, 1.0, 0.0, 10.0, t0=0.0)
+    t = 0.0
+    while t < draw_tick - 0.5:
+        t += 0.5
+        field.tick(t)
+        assert field.needs_leg[0]
+        assert (field.px[0], field.py[0], field.wx[0], field.wy[0]) == (1.0, 0.0, 1.0, 0.0)
+    expected = copy.deepcopy(field.rng)
+    wx, wy, speed = (expected.uniform(0.0, 50.0), expected.uniform(0.0, 50.0),
+                     expected.uniform(2.0, 4.0))
+    field.tick(draw_tick)
+    assert not field.needs_leg[0]
+    assert (field.wx[0], field.wy[0], field.speed[0]) == (wx, wy, speed)
+    dist = np.hypot(wx - 1.0, wy)
+    moved = min(speed * 0.5, dist)
+    assert field.px[0] == pytest.approx(1.0 + (wx - 1.0) / dist * moved, abs=1e-9)
+    assert field.py[0] == pytest.approx(wy / dist * moved, abs=1e-9)
+
+
+def test_legs_drawn_in_ascending_node_id():
+    field = _field(n=3, terrain=(50.0, 50.0), speed_range=(2.0, 4.0), pause_time=0.1)
+    for i in (2, 0, 1):
+        _one_node_leg(field, i, 0.0, float(i), 1.0, float(i), 10.0, t0=0.0)
+    field.tick(0.5)
+    assert field.needs_leg.all()
+    expected = copy.deepcopy(field.rng)
+    legs = [(expected.uniform(0.0, 50.0), expected.uniform(0.0, 50.0), expected.uniform(2.0, 4.0))
+            for _ in range(3)]
+    field.tick(1.0)
+    assert [(field.wx[i], field.wy[i], field.speed[i]) for i in range(3)] == legs
+
+
+def test_speed_is_zero_while_next_leg_pending():
+    # the pause ends at 0.2 s, but until the next tick draws a leg the node
+    # stands still and reports speed 0
+    field = _field(n=1, pause_time=0.1)
+    _one_node_leg(field, 0, 0.0, 0.0, 1.0, 0.0, 10.0, t0=0.0)
+    field.tick(0.5)
+    assert field.needs_leg[0] and field.pause_until[0] < 0.5
+    assert field.instantaneous_speed(0, 0.5) == 0.0
+    assert field.speeds_at(0.7) == {0: 0.0}
+    px, py = field.positions_at(0.7)
+    assert (px[0], py[0]) == (1.0, 0.0)
+
+
+def test_positions_before_last_tick_rejected():
+    field = _field(n=2)
+    field.tick(1.0)
     with pytest.raises(ValueError):
-        waypoint_step(state, 0.0, (10.0, 10.0), RandomStream(1, "mobility"))
-
-
-def test_pause_elapsing_within_step_draws_fresh_leg():
-    # arrival at t=0.1, pause 0.1 s: by the end of the 0.5 s step the node
-    # must hold a new waypoint and a new speed from the configured range
-    state = MotionState(x=0.0, y=0.0, waypoint_x=1.0, waypoint_y=0.0,
-                        speed=10.0, pause_until=-1.0)
-    out = waypoint_step(state, 0.5, (50.0, 50.0), RandomStream(3, "mobility"),
-                        speed_range=(2.0, 4.0), pause_time=0.1, now=0.0)
-    assert (out.x, out.y) == (1.0, 0.0)
-    assert out.pause_until == pytest.approx(0.2)
-    assert (out.waypoint_x, out.waypoint_y) != (1.0, 0.0)
-    assert 0.0 <= out.waypoint_x <= 50.0 and 0.0 <= out.waypoint_y <= 50.0
-    assert 2.0 <= out.speed <= 4.0
+        field.positions_at(0.5)
 
 
 def test_classify_below_first_threshold():
@@ -98,17 +227,6 @@ def test_snapshot_per_node_rule():
     assert classes == {0: MobilityClass.V_L, 1: MobilityClass.V_M, 2: MobilityClass.V_H}
 
 
-def _field(n=22, terrain=(2000.0, 2000.0), seed=1, controlled=None, **kw):
-    rng = RandomStream(seed, "mobility")
-    patrol = RandomStream(seed, "placement")
-    place = RandomStream(seed + 100, "placement")
-    pos = np.array([[place.uniform(0, terrain[0]), place.uniform(0, terrain[1])]
-                    for _ in range(n)])
-    if controlled is None:
-        controlled = np.zeros(n, dtype=bool)
-    return MobilityField(pos, controlled, terrain, rng, patrol, **kw)
-
-
 def test_positions_stay_in_bounds_over_many_steps():
     """10^4 random steps never leave the terrain rectangle."""
     field = _field(n=10)
@@ -144,14 +262,9 @@ def test_position_at_tick_time_is_stored_position():
 
 def test_position_interpolates_linearly_midleg():
     field = _field(n=1)
-    field.px[0], field.py[0] = 0.0, 0.0
-    field.wx[0], field.wy[0] = 10.0, 0.0
-    field.speed[0] = 10.0
-    field.pause_until[0] = -1.0
-    field.needs_leg[0] = False
-    field.last_tick = 0.0
-    x, y = field.position_of(0, 0.5)
-    assert x == pytest.approx(5.0, abs=1e-12) and y == 0.0
+    _one_node_leg(field, 0, 0.0, 0.0, 10.0, 0.0, 10.0, t0=0.0)
+    px, py = field.positions_at(0.5)
+    assert px[0] == pytest.approx(5.0, abs=1e-12) and py[0] == 0.0
 
 
 def test_paused_node_position_constant():
@@ -160,14 +273,15 @@ def test_paused_node_position_constant():
     field.pause_until[0] = 99.0
     field.last_tick = 0.0
     for t in (0.02, 0.05, 0.09):
-        assert field.position_of(0, t) == (3.0, 4.0)
+        px, py = field.positions_at(t)
+        assert (px[0], py[0]) == (3.0, 4.0)
     assert field.instantaneous_speed(0, 0.05) == 0.0
 
 
 def test_unknown_node_rejected():
     field = _field(n=2)
     with pytest.raises(UnknownNode):
-        field.position_of(5, 0.0)
+        field.instantaneous_speed(5, 0.0)
     with pytest.raises(UnknownNode):
         field.instantaneous_speed(-1, 0.0)
 

