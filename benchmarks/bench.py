@@ -10,13 +10,13 @@ random layout of 22 nodes with the 800 m range of the event study, and of
 1000 nodes with the stock 250 m range. Each is timed in batches; the
 fastest batch mean is reported, which a busy machine disturbs least.
 
-The results of one invocation go into the output file under --label, next
+The results of one invocation go into the --out file under --label, next
 to those of earlier invocations, with the machine, Python and numpy
 versions. --src picks the source tree whose `mwsnsim` is timed, so two
 commits can be measured with the same script:
 
-    python benchmarks/bench.py --label parent --src /path/to/parent/src
-    python benchmarks/bench.py --label change
+    python benchmarks/bench.py --label parent --src /path/to/parent/src --out bench.json
+    python benchmarks/bench.py --label change --out bench.json
 """
 
 from __future__ import annotations
@@ -105,7 +105,8 @@ def main(argv=None) -> int:
     ap.add_argument("--label", required=True, help="key of this invocation's results")
     ap.add_argument("--src", default=os.path.join(HERE, "..", "src"),
                     help="source tree that holds the mwsnsim package to time")
-    ap.add_argument("--out", default=os.path.join(HERE, "..", "BENCH_6.json"))
+    ap.add_argument("--out", required=True,
+                    help="JSON file that the results are merged into")
     args = ap.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
     import numpy as np

@@ -1,0 +1,128 @@
+"""Check that two source trees produce byte-identical traces.
+
+Hashes (sha256) the canonical JSONL trace, `engine.trace_to_jsonl`, of every
+run of a fixed set: seeds 1-20 x both schemes on nine 22-40-node scenarios,
+plus 1000 nodes at the stock 250 m range for 20 s, seeds 1-2 x both schemes.
+The `mwsnsim` package is imported from --src. One line per run is printed:
+
+    python benchmarks/trace_identity.py --src /path/to/src
+
+With --against, the same set is also hashed under a second tree, in a
+separate process running alongside; each run whose hash differs, or that
+only one tree produced, is printed, and the exit status is 1 when there is
+any such run:
+
+    python benchmarks/trace_identity.py --against /path/to/parent/src
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+CONFIG_DIR = os.path.join(HERE, "..", "configs")
+
+# batteries that empty within the session, without and with idle drain
+DRAINED = {"initial_energy": 0.5,
+           "energy": {"battery_threshold": 0.1},
+           "radio": {"nominal_range": 800.0}}
+DRAINED_IDLE = {"initial_energy": 0.5,
+                "energy": {"battery_threshold": 0.1, "idle_power": 0.01},
+                "radio": {"nominal_range": 800.0}}
+# the criterion-5 arena: a fully-connected 600 m square with a 2x2 grid
+CAPACITY_ARENA = {
+    "node_count": 22, "cluster_heads": 3, "base_stations": 1,
+    "terrain_area": {"width": 600.0, "height": 600.0},
+    "session_duration": 60.0,
+    "flow_count": 10,
+    "radio": {"nominal_range": 900.0},
+    "critical_events": [],
+    "grid": {"frequencies": 2, "slots_per_frame": 2, "frame_length": 0.5},
+}
+# several sinks to choose the nearest from, and event discs of non-round radii
+FOUR_SINKS = {
+    "node_count": 40, "base_stations": 4, "session_duration": 40.0,
+    "radio": {"nominal_range": 450.0},
+    "critical_events": [
+        {"time": 10.0, "x": 700.0, "y": 1300.0, "radius": 333.3},
+        {"time": 25.0, "x": 1250.0, "y": 800.0, "radius": 612.7},
+    ],
+}
+# two networks, so each critical event ranks them by members in its disc
+TWO_NETWORKS = {
+    "session_duration": 40.0,
+    "radio": {"nominal_range": 500.0},
+    "networks": [{"id": "a", "bandwidth": 1.0e6, "members": list(range(0, 22, 2))},
+                 {"id": "b", "bandwidth": 2.0e6, "members": list(range(1, 22, 2))}],
+    "critical_events": [
+        {"time": 10.0, "x": 1000.0, "y": 1000.0, "radius": 700.0},
+        {"time": 22.5, "x": 600.0, "y": 1400.0, "radius": 512.5},
+    ],
+}
+
+SCHEMES = ("mdlps", "data")
+# name -> (config overrides or a file under configs/, seeds)
+RUN_SET = {
+    "stock": ({}, range(1, 21)),
+    "event_study": ("event_study.yaml", range(1, 21)),
+    "drained": (DRAINED, range(1, 21)),
+    "drained_idle": (DRAINED_IDLE, range(1, 21)),
+    "capacity_arena": (CAPACITY_ARENA, range(1, 21)),
+    "orphans_excluded": ({"options": {"orphan_policy": "exclude"}}, range(1, 21)),
+    "hard_gate_400m": ({"options": {"gate_mode": "drop"},
+                        "radio": {"nominal_range": 400.0}}, range(1, 21)),
+    "four_sinks": (FOUR_SINKS, range(1, 21)),
+    "two_networks": (TWO_NETWORKS, range(1, 21)),
+    "fleet1000": ({"node_count": 1000, "session_duration": 20.0}, range(1, 3)),
+}
+
+
+def trace_hashes(src: str):
+    """Yield (run name, sha256 of its trace) for every run, importing
+    mwsnsim from the src tree."""
+    sys.path.insert(0, os.path.abspath(src))
+    from mwsnsim.config import load_config, validate_config
+    from mwsnsim.engine import Simulation, trace_to_jsonl
+
+    for name, (source, seeds) in RUN_SET.items():
+        cfg = (load_config(os.path.join(CONFIG_DIR, source)) if isinstance(source, str)
+               else validate_config(source))
+        for seed in seeds:
+            for scheme in SCHEMES:
+                trace = Simulation(cfg, seed=seed, scheme=scheme).run()
+                digest = hashlib.sha256(trace_to_jsonl(trace).encode("utf-8")).hexdigest()
+                yield f"{name}/s{seed}/{scheme}", digest
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", default=os.path.join(HERE, "..", "src"),
+                    help="source tree whose mwsnsim is run (default: this checkout's)")
+    ap.add_argument("--against", help="second source tree to compare every hash with")
+    args = ap.parse_args()
+    if args.against is None:
+        for run, digest in trace_hashes(args.src):
+            print(run, digest, flush=True)
+        return 0
+    other = subprocess.Popen([sys.executable, os.path.abspath(__file__), "--src", args.against],
+                             stdout=subprocess.PIPE, text=True)
+    ours = dict(trace_hashes(args.src))
+    out, _ = other.communicate()
+    if other.returncode != 0:
+        print(f"hashing under {args.against} failed with status {other.returncode}",
+              file=sys.stderr)
+        return 1
+    theirs = dict(line.split() for line in out.splitlines())
+    differ = sorted(run for run in ours.keys() | theirs.keys() if ours.get(run) != theirs.get(run))
+    for run in differ:
+        print(f"DIFFERS {run}: {ours.get(run, '-')} (--src) {theirs.get(run, '-')} (--against)")
+    print(f"{len(ours)} runs under --src, {len(theirs)} under --against, {len(differ)} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -13,8 +13,8 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,21 +44,10 @@ class EventKind(Enum):
     PACKET_DELIVERED = "packet_delivered"
 
 
-class NodeKind(IntEnum):
-    SENSOR = 0
-    CLUSTER_HEAD = 1
-    BASE_STATION = 2
+class Event(NamedTuple):
+    """A scheduled event; its heap order is (time, seq), and seq is unique,
+    so kind and payload are never compared."""
 
-
-@dataclass(frozen=True)
-class Node:
-    id: int
-    kind: NodeKind
-    network: str
-
-
-@dataclass(frozen=True)
-class Event:
     time: float
     seq: int
     kind: EventKind
@@ -70,7 +59,7 @@ class EventQueue:
     assigned at schedule time, so simultaneous events dequeue FIFO."""
 
     def __init__(self):
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[Event] = []
         self._next_seq = 0
         self.now = 0.0
         self.scheduled = 0
@@ -87,16 +76,16 @@ class EventQueue:
             raise ValueError("event time must be finite")
         seq = self._next_seq
         self._next_seq += 1
-        heapq.heappush(self._heap, (time, seq, Event(time, seq, kind, payload)))
+        heapq.heappush(self._heap, Event(time, seq, kind, payload))
         self.scheduled += 1
         return seq
 
     def peek_time(self) -> float | None:
-        return self._heap[0][0] if self._heap else None
+        return self._heap[0].time if self._heap else None
 
     def pop(self) -> Event:
-        time, _, event = heapq.heappop(self._heap)
-        self.now = time
+        event = heapq.heappop(self._heap)
+        self.now = event.time
         self.processed += 1
         return event
 
@@ -107,13 +96,11 @@ _PURPOSES = ("mobility", "placement", "traffic", "importance")
 class RandomStream:
     """Seeded uniform stream for one purpose; counts its draws."""
 
-    def __init__(self, master_seed: int, purpose: str):
+    def __init__(self, seed: int, purpose: str):
         if purpose not in _PURPOSES:
             raise ValueError(f"unknown stream purpose {purpose!r}")
-        self.purpose = purpose
-        self.seed = master_seed
         self.draws = 0
-        ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(_PURPOSES.index(purpose),))
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(_PURPOSES.index(purpose),))
         self._gen = np.random.default_rng(ss)
 
     def uniform(self, a: float, b: float) -> float:
@@ -136,9 +123,8 @@ class RandomStream:
 
 
 class RandomStreams:
-    def __init__(self, master_seed: int):
-        self.master_seed = master_seed
-        self._streams = {p: RandomStream(master_seed, p) for p in _PURPOSES}
+    def __init__(self, seed: int):
+        self._streams = {p: RandomStream(seed, p) for p in _PURPOSES}
 
     def __getitem__(self, purpose: str) -> RandomStream:
         return self._streams[purpose]
@@ -188,14 +174,11 @@ class Simulation:
 
     # construction ----------------------------------------------------------
     def _build_nodes(self) -> None:
+        """Node ids run sensors first, then cluster heads, then base stations."""
         cfg = self.cfg
         self.n = cfg.node_count
         n_ch = cfg["cluster_heads"]
-        n_bs = cfg["base_stations"]
-        n_sensor = self.n - n_ch - n_bs
-        kinds = ([NodeKind.SENSOR] * n_sensor + [NodeKind.CLUSTER_HEAD] * n_ch
-                 + [NodeKind.BASE_STATION] * n_bs)
-        self.kinds = kinds
+        n_sensor = self.n - n_ch - cfg["base_stations"]
         self.sensor_ids = list(range(n_sensor))
         self.ch_ids = list(range(n_sensor, n_sensor + n_ch))
         self.bs_ids = list(range(n_sensor + n_ch, self.n))
@@ -213,7 +196,6 @@ class Simulation:
         for net in self.networks:
             for node in net.members:
                 self.net_of[node] = net.id
-        self.nodes = [Node(i, self.kinds[i], self.net_of[i]) for i in range(self.n)]
 
     def _build_kinematics(self) -> None:
         cfg = self.cfg
@@ -228,7 +210,7 @@ class Simulation:
             for i in range(self.n):
                 pos[i, 0] = placement.uniform(0.0, w)
                 pos[i, 1] = placement.uniform(0.0, h)
-        controlled = np.array([k != NodeKind.SENSOR for k in self.kinds])
+        controlled = np.arange(self.n) >= len(self.sensor_ids)
         m = cfg["mobility"]
         self.mob = MobilityField(
             pos, controlled, (w, h),
@@ -263,14 +245,6 @@ class Simulation:
         ]
         self.dead: set[int] = set()
 
-    def _nearest_bs(self, node: int, px: np.ndarray, py: np.ndarray) -> int:
-        best = None
-        for bs in self.bs_ids:
-            d2 = (px[node] - px[bs]) ** 2 + (py[node] - py[bs]) ** 2
-            if best is None or d2 < best[0]:
-                best = (d2, bs)
-        return best[1]
-
     def _build_traffic(self) -> None:
         cfg = self.cfg
         f = cfg["flow"]
@@ -284,19 +258,17 @@ class Simulation:
         if raw is None:
             count = cfg["flow_count"]
             sources = sorted(self.streams["traffic"].sample(self.sensor_ids, count)) if count else []
-            px, py = self.mob.positions_at(0.0)
+            positions = self._position_map(0.0)
             for i, src in enumerate(sources):
                 flows.append(traffic_mod.Flow(
-                    id=f"f{i}", src=src, dst=self._nearest_bs(src, px, py),
-                    interval=cfg["cbr_interval"], params=self.flow_params,
-                    start=0.0, stop=cfg.session_duration,
+                    id=f"f{i}", src=src, dst=sched.nearest(positions[src], self.bs_ids, positions),
+                    interval=cfg["cbr_interval"], start=0.0, stop=cfg.session_duration,
                 ))
         else:
             for fl in raw:
                 flows.append(traffic_mod.Flow(
                     id=str(fl["id"]), src=fl["src"], dst=fl["dst"],
-                    interval=fl["interval"], params=self.flow_params,
-                    start=fl["start"], stop=fl["stop"],
+                    interval=fl["interval"], start=fl["start"], stop=fl["stop"],
                     importance_override=fl["importance_override"],
                 ))
         self.flows = flows
@@ -309,7 +281,6 @@ class Simulation:
         cfg = self.cfg
         g = cfg["grid"]
         self.grid = sched.SlotGrid(g["frequencies"], g["slots_per_frame"], g["frame_length"])
-        self.frame_length = g["frame_length"]
         o = cfg["options"]
         self.velocity_floor = o["velocity_floor"]
         self.gate_mode = o["gate_mode"]
@@ -327,8 +298,7 @@ class Simulation:
                 raw_events = [{"time": 10.0, "x": w / 2, "y": h / 2, "radius": 400.0,
                                "reporter": None, "emit_reports": True}]
         self.critical_events = raw_events
-        self.active_events: list[dict] = []
-        self._orphans_this_frame: list[int] = []
+        self.active_events: list[tuple[float, float, float]] = []
 
     def _schedule_initial_events(self) -> None:
         session = self.cfg.session_duration
@@ -348,6 +318,10 @@ class Simulation:
         px, py = self.mob.positions_at(t)
         self._pos_cache = (t, px, py)
         return px, py
+
+    def _position_map(self, t: float) -> dict[int, tuple[float, float]]:
+        px, py = self._positions(t)
+        return dict(enumerate(zip(px.tolist(), py.tolist())))
 
     def _alive(self) -> list[int]:
         return [i for i in range(self.n) if i not in self.dead]
@@ -377,12 +351,6 @@ class Simulation:
                 dsts.add(p.dst)
         self.dist_maps = {dst: traffic_mod.hop_distances(self.graph, dst)
                           for dst in sorted(dsts) if dst in self.graph}
-
-    def _hops_from(self, node: int, dst: int) -> int | None:
-        dmap = self.dist_maps.get(dst)
-        if dmap is None:
-            return None
-        return dmap.get(node)
 
     def _key_fn(self, node: int, t: float):
         """Fresh per-packet contention key for this node at this instant.
@@ -451,18 +419,19 @@ class Simulation:
         if cause != "starved":
             self._tracker(packet.flow).record(False)
 
-    def _candidates(self, t: float) -> list[sched.PriorityTuple]:
-        """Contenders for transmission positions: alive non-sink nodes with
-        queued data, keyed by their best packet under the active scheme.
+    def _candidates(self, t: float) -> tuple[list[sched.PriorityTuple], list[int]]:
+        """Contenders for transmission positions, and the orphans among them
+        ascending: alive non-sink nodes with queued data, keyed by their
+        best packet under the active scheme.
 
         Under the data scheme sensors report through their nearest in-range
         cluster head; ranking is the shared comparator over all contenders,
         which equals merging the per-cluster lists. Cluster affiliation only
         decides which sensors are orphans, and orphans either contend
-        directly or are excluded, per policy.
+        directly or are excluded, per policy. The mdlps scheme has no
+        orphans.
         """
-        alive = [i for i in self._alive() if self.kinds[i] != NodeKind.BASE_STATION]
-        holders = [i for i in alive if len(self.queues[i]) > 0]
+        holders = [i for i in self._alive() if i < self.bs_ids[0] and len(self.queues[i]) > 0]
         cands: dict[int, sched.Candidate] = {}
         for node in holders:
             pi = self.queues[node].best_key(self._key_fn(node, t))
@@ -471,19 +440,17 @@ class Simulation:
                 mob_class=self.mob_snapshot[node],
                 batt_level=energy_mod.battery_level(self.battery[node]),
             )
+        orphans: list[int] = []
         if self.scheme == "data":
-            px, py = self._positions(t)
-            positions = {i: (float(px[i]), float(py[i])) for i in alive}
             chs = [c for c in self.ch_ids if c not in self.dead]
-            sensors = [s for s in holders if self.kinds[s] == NodeKind.SENSOR]
-            reach = lambda a, b: (self.graph is not None and self.graph.has_edge(a, b))
-            _, orphans = sched.assign_clusters(sensors, chs, positions, reach)
-            if orphans:
-                self._orphans_this_frame = list(orphans)
-                if self.orphan_policy == "exclude":
-                    excluded = set(orphans)
-                    holders = [n for n in holders if n not in excluded]
-        return [sched.priority_tuple(cands[n], self.net_of[n], self.n1_map) for n in holders]
+            sensors = [s for s in holders if s < len(self.sensor_ids)]
+            _, orphans = sched.assign_clusters(sensors, chs, self._position_map(t),
+                                               self.graph.has_edge)
+            if orphans and self.orphan_policy == "exclude":
+                excluded = set(orphans)
+                holders = [n for n in holders if n not in excluded]
+        return ([sched.priority_tuple(cands[n], self.net_of[n], self.n1_map) for n in holders],
+                orphans)
 
     # handlers ---------------------------------------------------------------
     def _on_mobility_tick(self, ev: Event) -> None:
@@ -496,16 +463,18 @@ class Simulation:
 
     def _on_frame_boundary(self, ev: Event) -> None:
         t = ev.time
-        self._orphans_this_frame = []
         # the frame's idle charge comes first, so a node it drains is out of
         # the graph that routes this frame
         if self.costs.idle_power > 0:
             for node in self._alive():
-                energy_mod.consume_idle(self.battery[node], self.costs, self.frame_length)
+                energy_mod.consume_idle(self.battery[node], self.costs, self.grid.frame_length)
                 self._note_depletion(node, t)
         self._rebuild_graph(t)
+        # both _candidates calls below see the same queues and graph, so
+        # they return the same orphans
+        orphans: list[int] = []
         if not self.grid.ever_allocated:
-            sources = self._candidates(t)
+            sources, orphans = self._candidates(t)
             if sources:
                 sched.allocate_slots(sources, self.grid)
                 self._trace_alloc(t, "startup", -1)
@@ -522,7 +491,8 @@ class Simulation:
                 if len(self.queues[holder]) > 0:
                     granted.append((pos[0], pos[1], holder))
         if empty_positions:
-            spare = [pt for pt in self._candidates(t) if pt.node not in taken]
+            contenders, orphans = self._candidates(t)
+            spare = [pt for pt in contenders if pt.node not in taken]
             spare.sort(key=sched.tuple_key)
             for pos, pt in zip(empty_positions, spare):
                 transient.append((pos[0], pos[1], pt.node))
@@ -532,13 +502,13 @@ class Simulation:
             "x": [list(g) for g in transient],
             "q": [len(q) for q in self.queues],
         }
-        if self.scheme == "data" and self._orphans_this_frame:
-            rec["orph"] = sorted(set(self._orphans_this_frame))
+        if orphans:
+            rec["orph"] = orphans
         self.trace.append(rec)
         slot_dur = self.grid.slot_duration
         for f, s, node in sorted(granted + transient):
             self.queue.schedule(t + s * slot_dur, EventKind.SLOT_TRANSMIT, (f, s, node))
-        nxt = t + self.frame_length
+        nxt = t + self.grid.frame_length
         if nxt <= self.cfg.session_duration:
             self.queue.schedule(nxt, EventKind.FRAME_BOUNDARY)
 
@@ -582,7 +552,6 @@ class Simulation:
             q.remove(p)
             p.strikes = 0
             p.retries = 0
-            p.remaining_hops = hops
             energy_mod.consume_tx(self.battery[node], self.costs, p.size)
             self.trace.append({
                 "k": "tx", "t": t, "p": p.id, "u": node, "v": hop, "f": f, "s": s,
@@ -622,53 +591,44 @@ class Simulation:
         ev_cfg = self.critical_events[idx]
         x, y, r = float(ev_cfg["x"]), float(ev_cfg["y"]), float(ev_cfg["radius"])
         self.trace.append({"k": "crit", "t": t, "ev": idx, "x": x, "y": y, "r": r})
-        self.active_events.append({"x": x, "y": y, "r": r, "since": t})
-        px, py = self._positions(t)
+        self.active_events.append((x, y, r))
+        positions = self._position_map(t)
         if ev_cfg.get("emit_reports", True):
             reporter = ev_cfg.get("reporter")
-            r2 = r * r
             for node in self.sensor_ids:
-                in_area = (px[node] - x) ** 2 + (py[node] - y) ** 2 <= r2
                 if node == reporter:
                     imp = 1.0
-                elif in_area:
+                elif sched.in_disc(positions[node], (x, y), r):
                     imp = self.streams["importance"].uniform(0.8, 1.0)
                 else:
                     continue
                 self._generate_packet(
                     flow_id=f"report-{idx}-n{node}", src=node,
-                    dst=self._nearest_bs(node, px, py), t=t, importance=imp)
+                    dst=sched.nearest(positions[node], self.bs_ids, positions),
+                    t=t, importance=imp)
         self.mob_snapshot = snapshot_classes(self.mob.speeds_at(t), self.class_thresholds)
         self.trace.append({
             "k": "cls", "t": t, "ev": idx,
             "c": [int(self.mob_snapshot[i]) for i in range(self.n)],
         })
         self._rebuild_graph(t)
-        positions = {i: (float(px[i]), float(py[i])) for i in range(self.n)}
         self.n1_map, bw_only = sched.network_priority(
             self.networks, positions, (x, y), r,
             w_density=self.weights[0], w_bandwidth=self.weights[1])
         self.grid.rearm()
-        sched.allocate_slots(self._candidates(t), self.grid)
+        sched.allocate_slots(self._candidates(t)[0], self.grid)
         self._trace_alloc(t, "critical", idx)
         if bw_only:
             self.trace[-1]["bw_only"] = 1
-
-    def _in_active_event_area(self, x: float, y: float) -> bool:
-        for ev in self.active_events:
-            if (x - ev["x"]) ** 2 + (y - ev["y"]) ** 2 <= ev["r"] ** 2:
-                return True
-        return False
 
     def _generate_packet(self, flow_id: str, src: int, dst: int, t: float,
                          importance: float) -> None:
         cfg = self.cfg
         p = traffic_mod.Packet(
-            id=self.next_packet_id, flow=flow_id, src=src, dst=dst,
+            id=self.next_packet_id, flow=flow_id, dst=dst,
             size=cfg["packet_size"], created=t,
             deadline=t + self.flow_params.deadline_budget,
             importance=importance,
-            remaining_hops=self._hops_from(src, dst),
         )
         self.next_packet_id += 1
         self.trace.append({
@@ -688,7 +648,8 @@ class Simulation:
             imp = fl.importance_override
         else:
             px, py = self._positions(t)
-            if self._in_active_event_area(float(px[fl.src]), float(py[fl.src])):
+            src_xy = (px[fl.src], py[fl.src])
+            if any(sched.in_disc(src_xy, (x, y), r) for x, y, r in self.active_events):
                 imp = self.streams["importance"].uniform(0.8, 1.0)
             else:
                 imp = self.streams["importance"].uniform(0.1, 0.5)
@@ -722,7 +683,7 @@ class Simulation:
         t_end = self.cfg.session_duration
         self.run_until(t_end)
         # packets still on the air when the session closes count as starved
-        for _, _, event in sorted(self.queue._heap):
+        for event in sorted(self.queue._heap):
             if event.kind is EventKind.PACKET_DELIVERED:
                 p, _, receiver = event.payload
                 self._drop(p, receiver, t_end, "starved", detail="in_flight")

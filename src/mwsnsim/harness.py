@@ -21,6 +21,10 @@ class IoError(Exception):
     pass
 
 
+class ConservationError(Exception):
+    """A run's trace does not give each generated packet exactly one fate."""
+
+
 SUMMARY_COLUMNS = [
     "seed", "scheme", "generated", "delivered", "deadline_miss",
     "pdr_within_deadline", "mean_delay_s", "p95_delay_s", "throughput_kbps",
@@ -41,11 +45,9 @@ class RunReport:
         self.fates = cons["fates"]
         self.conservation_ok = cons["ok"]
         self.pdr = metrics.overall_pdr(trace)
-        self.pdr_per_flow = metrics.pdr_within_deadline(trace)
         self.mean_delay = metrics.mean_delay(trace)
         self.p95_delay = metrics.percentile_delay(trace, 95.0)
-        self.session = metrics.session_of(trace)
-        self.throughput = metrics.throughput_kbps(trace, self.session)
+        self.throughput = metrics.throughput_kbps(trace, metrics.session_of(trace))
         self.depleted = metrics.depleted_nodes(trace)
         self.orphan_frames = metrics.orphan_frame_count(trace)
         self.max_queue = metrics.max_queue_length(trace)
@@ -83,9 +85,14 @@ class FailedRun:
 
 
 def run_one(config: ScenarioConfig, seed: int, scheme: str) -> RunReport:
-    sim = Simulation(config, seed=seed, scheme=scheme)
-    trace = sim.run()
-    return RunReport(seed, scheme, trace)
+    """One run's report; raises ConservationError when its trace loses or
+    double-counts a packet, so the run is never averaged with the others."""
+    report = RunReport(seed, scheme, Simulation(config, seed=seed, scheme=scheme).run())
+    if not report.conservation_ok:
+        raise ConservationError(
+            f"seed {seed} {scheme}: the {report.generated} generated packets do not "
+            f"each have exactly one delivery or drop record")
+    return report
 
 
 def effective_radio_range(config: ScenarioConfig) -> tuple[float, float]:
@@ -123,8 +130,8 @@ def emit_report(
     reports: list[RunReport],
     config: ScenarioConfig,
     out_dir: str,
-    seeds: list[int] | None = None,
-    schemes: list[str] | None = None,
+    seeds: list[int],
+    schemes: list[str],
     write_traces: bool = True,
 ) -> list[str]:
     """Write an experiment's files; a pure function of the reports, so
@@ -134,8 +141,6 @@ def emit_report(
     when the report set is empty), plus per-run trace files and, when exactly
     two schemes are present, ab_summary.csv.
     """
-    seeds = seeds if seeds is not None else sorted({rep.seed for rep in reports})
-    schemes = schemes if schemes is not None else sorted({rep.scheme for rep in reports})
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:

@@ -106,16 +106,17 @@ def critical_events(trace: list[dict]) -> list[dict]:
     return [rec for rec in trace if rec["k"] == "crit"]
 
 
+def _event_time(trace: list[dict], event_index: int) -> float:
+    for rec in trace:
+        if rec["k"] == "crit" and rec["ev"] == event_index:
+            return rec["t"]
+    raise EventNotFound(f"no critical event {event_index} in trace")
+
+
 def execution_order(trace: list[dict], event_index: int) -> list[int]:
     """Node ids ordered by their first transmission at or after the given
     critical event; nodes that never transmit are absent."""
-    t_ev = None
-    for rec in trace:
-        if rec["k"] == "crit" and rec["ev"] == event_index:
-            t_ev = rec["t"]
-            break
-    if t_ev is None:
-        raise EventNotFound(f"no critical event {event_index} in trace")
+    t_ev = _event_time(trace, event_index)
     order: list[int] = []
     for rec in trace:
         if rec["k"] == "tx" and rec["t"] >= t_ev and rec["u"] not in order:
@@ -125,13 +126,7 @@ def execution_order(trace: list[dict], event_index: int) -> list[int]:
 
 def first_frame_grantees(trace: list[dict], event_index: int) -> set[int]:
     """Nodes granted a position in the first frame at or after the event."""
-    t_ev = None
-    for rec in trace:
-        if rec["k"] == "crit" and rec["ev"] == event_index:
-            t_ev = rec["t"]
-            break
-    if t_ev is None:
-        raise EventNotFound(f"no critical event {event_index} in trace")
+    t_ev = _event_time(trace, event_index)
     for rec in trace:
         if rec["k"] == "frame" and rec["t"] >= t_ev:
             return {g[2] for g in rec["g"]} | {g[2] for g in rec["x"]}
@@ -188,11 +183,15 @@ def transmitters_respect_depletion(trace: list[dict]) -> bool:
     return True
 
 
-def stream_draws(trace: list[dict]) -> dict[str, int]:
+def _end_record(trace: list[dict]) -> dict:
     for rec in reversed(trace):
         if rec["k"] == "end":
-            return rec["draws"]
+            return rec
     raise ValueError("trace has no end record")
+
+
+def stream_draws(trace: list[dict]) -> dict[str, int]:
+    return _end_record(trace)["draws"]
 
 
 def orphan_frame_count(trace: list[dict]) -> int:
@@ -200,10 +199,7 @@ def orphan_frame_count(trace: list[dict]) -> int:
 
 
 def session_of(trace: list[dict]) -> float:
-    for rec in reversed(trace):
-        if rec["k"] == "end":
-            return rec["t"]
-    raise ValueError("trace has no end record")
+    return _end_record(trace)["t"]
 
 
 METRIC_FUNCTIONS = {

@@ -116,11 +116,13 @@ def params_for_range(section: dict, wavelength: float) -> RadioParams:
 def in_range(params: RadioParams, a: tuple[float, float], b: tuple[float, float]) -> bool:
     """True when received power between positions a and b meets the threshold.
 
-    Co-located nodes are treated as separated by a tiny epsilon distance.
+    The distance is build_graph's expression, so a link the graph holds is
+    never refused at an unchanged distance. Co-located nodes are treated as
+    separated by a tiny epsilon distance.
     """
-    d = math.dist(a, b)
-    if d < EPS_DISTANCE:
-        d = EPS_DISTANCE
+    dx = a[0] - b[0]
+    dy = a[1] - b[1]
+    d = max(math.sqrt(dx * dx + dy * dy), EPS_DISTANCE)
     return received_power(params, d) >= params.rx_threshold
 
 

@@ -58,15 +58,15 @@ class FlowParams:
             raise ValueError("deadline_budget must be positive")
 
 
-def compute_ulb(deadline: float, now: float, remaining_hops: int) -> float:
-    """Laxity budget: max(0, deadline - now) / 2^remaining_hops.
+def compute_ulb(deadline: float, now: float, hops: int) -> float:
+    """Laxity budget: max(0, deadline - now) / 2^hops, for the hops still to go.
 
     An expired packet (now >= deadline) has budget zero; expiry itself is
     the caller's flag, not an error here.
     """
-    if remaining_hops < 0:
-        raise ValueError("remaining_hops must be >= 0")
-    return max(0.0, deadline - now) / (2.0 ** remaining_hops)
+    if hops < 0:
+        raise ValueError("hops must be >= 0")
+    return max(0.0, deadline - now) / (2.0 ** hops)
 
 
 def pdr_gate(pi: float, pdr: float, flow: FlowParams) -> float:
@@ -131,6 +131,25 @@ def rank_candidates(candidates) -> list[Candidate]:
     return sorted(candidates, key=candidate_key)
 
 
+def _squared_distance(a: tuple[float, float], b: tuple[float, float]) -> float:
+    dx = a[0] - b[0]
+    dy = a[1] - b[1]
+    return dx * dx + dy * dy
+
+
+def in_disc(point: tuple[float, float], centre: tuple[float, float], radius: float) -> bool:
+    """True when point lies in the closed disc about centre: a point at
+    exactly the radius is inside."""
+    return _squared_distance(point, centre) <= radius * radius
+
+
+def nearest(point: tuple[float, float], candidates, positions) -> int | None:
+    """The candidate id whose position is closest to point, ties going to
+    the lowest id; None when there are no candidates."""
+    return min(sorted(candidates), key=lambda node: _squared_distance(point, positions[node]),
+               default=None)
+
+
 @dataclass(frozen=True)
 class Network:
     id: str
@@ -160,16 +179,8 @@ def network_priority(
         raise ValueError("weights must be non-negative and not both zero")
     if not networks:
         return {}, False
-    ex, ey = event_xy
-    r2 = radius * radius
-    in_area = {}
-    for net in networks:
-        count = 0
-        for node in net.members:
-            x, y = positions[node]
-            if (x - ex) ** 2 + (y - ey) ** 2 <= r2:
-                count += 1
-        in_area[net.id] = count
+    in_area = {net.id: sum(in_disc(positions[node], event_xy, radius) for node in net.members)
+               for net in networks}
     total_in_area = sum(in_area.values())
     max_bw = max(net.bandwidth for net in networks)
     empty_area = total_in_area == 0
@@ -281,19 +292,11 @@ def assign_clusters(sensors, cluster_heads, positions, reach) -> tuple[dict[int,
     reports: dict[int, list[int]] = {ch: [] for ch in sorted(cluster_heads)}
     orphans: list[int] = []
     for sensor in sorted(sensors):
-        sx, sy = positions[sensor]
-        best = None
-        for ch in sorted(cluster_heads):
-            if not reach(sensor, ch):
-                continue
-            cx, cy = positions[ch]
-            d2 = (sx - cx) ** 2 + (sy - cy) ** 2
-            if best is None or d2 < best[0]:
-                best = (d2, ch)
-        if best is None:
+        ch = nearest(positions[sensor], [c for c in cluster_heads if reach(sensor, c)], positions)
+        if ch is None:
             orphans.append(sensor)
         else:
-            reports[best[1]].append(sensor)
+            reports[ch].append(sensor)
     return reports, orphans
 
 

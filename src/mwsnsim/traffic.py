@@ -12,8 +12,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .scheduler import FlowParams
-
 
 class Expired(Exception):
     pass
@@ -25,13 +23,11 @@ class Packet:
 
     id: int
     flow: str
-    src: int
     dst: int
     size: int
     created: float
     deadline: float
     importance: float
-    remaining_hops: int | None = None
     strikes: int = 0      # consecutive no-route transmission attempts
     retries: int = 0      # link-broken retransmission attempts
     enqueue_seq: int = 0  # FIFO tie-break inside a queue
@@ -43,7 +39,6 @@ class Flow:
     src: int
     dst: int
     interval: float
-    params: FlowParams
     start: float = 0.0
     stop: float = 100.0
     importance_override: float | None = None

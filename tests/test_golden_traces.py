@@ -26,6 +26,28 @@ CAPACITY_ARENA = {
     "grid": {"frequencies": 2, "slots_per_frame": 2, "frame_length": 0.5},
 }
 
+# several sinks to choose the nearest from, and event discs of non-round radii
+FOUR_SINKS = {
+    "node_count": 40, "base_stations": 4, "session_duration": 40.0,
+    "radio": {"nominal_range": 450.0},
+    "critical_events": [
+        {"time": 10.0, "x": 700.0, "y": 1300.0, "radius": 333.3},
+        {"time": 25.0, "x": 1250.0, "y": 800.0, "radius": 612.7},
+    ],
+}
+
+# two networks, so each critical event ranks them by members in its disc
+TWO_NETWORKS = {
+    "session_duration": 40.0,
+    "radio": {"nominal_range": 500.0},
+    "networks": [{"id": "a", "bandwidth": 1.0e6, "members": list(range(0, 22, 2))},
+                 {"id": "b", "bandwidth": 2.0e6, "members": list(range(1, 22, 2))}],
+    "critical_events": [
+        {"time": 10.0, "x": 1000.0, "y": 1000.0, "radius": 700.0},
+        {"time": 22.5, "x": 600.0, "y": 1400.0, "radius": 512.5},
+    ],
+}
+
 # name -> (config overrides or a file under configs/, seed, scheme, sha256)
 GOLDEN = {
     "stock_mdlps": ({}, 1, "mdlps",
@@ -45,6 +67,12 @@ GOLDEN = {
                         "e3010c7492b52046904777963fa63655848053836284be348cbd0fe2ce85f2b2"),
     "fleet_200_data": ({"node_count": 200, "session_duration": 20.0}, 1, "data",
                        "1c0ff0f7fc74e60172b0a6148f0a333e1a12d4819a1b46934026958ee8fc2082"),
+    "four_sinks_mdlps": (FOUR_SINKS, 1, "mdlps",
+                         "3d0fafaec224eefcb179d56258964999ad89e8275d0ade8f7e6be65f4a794ebb"),
+    "four_sinks_data": (FOUR_SINKS, 1, "data",
+                        "7f0388044514acc755af4a6442069aa4de79e9180c9af73890168cbc153480da"),
+    "two_networks_data": (TWO_NETWORKS, 1, "data",
+                          "7bc391eda6b1d05306ccc9766d51b03d831282f830ec51eb1a9752c07ce38dc2"),
 }
 
 

@@ -15,6 +15,7 @@ from mwsnsim.config import (
 )
 from mwsnsim.engine import Simulation
 from mwsnsim.harness import (
+    ConservationError,
     emit_report,
     replay_metric,
     run_experiment,
@@ -403,6 +404,38 @@ def test_cli_run_reports_failed_runs(tmp_path, capsys, monkeypatch):
     rows = [row.split(",") for row in lines[1:]]
     assert {row[0] for row in rows} == {"mdlps", "data"}
     assert all(row[2] == "2" and row[5] == "1" for row in rows)
+
+
+@pytest.mark.parametrize("fault", ["lost", "double_counted"])
+def test_run_failing_conservation_is_a_failed_run(tmp_path, capsys, monkeypatch, fault):
+    """A seed whose trace loses a packet's drop record, or holds it twice,
+    is a failed run: never averaged, counted in aggregate.csv, a nonzero
+    exit, and the connection sweep aborts on it."""
+    real_run = Simulation.run
+
+    def faulty(self):
+        trace = real_run(self)
+        if self.seed == 2:
+            k = next(k for k, rec in enumerate(trace) if rec["k"] == "drop")
+            if fault == "lost":
+                del trace[k]
+            else:
+                trace.insert(k, dict(trace[k]))
+        return trace
+
+    monkeypatch.setattr(Simulation, "run", faulty)
+    out = tmp_path / "out"
+    code = cli_main(["run", "--seeds", "3", "--out", str(out),
+                     "--config", str(_write_fast_cfg(tmp_path))])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == ["1 of 3 runs failed"]
+    rows = (out / "summary.csv").read_text().splitlines()[1:]
+    assert "ConservationError" in rows[1]
+    assert "Error" not in rows[0] and "Error" not in rows[2]
+    agg = [row.split(",") for row in (out / "aggregate.csv").read_text().splitlines()[1:]]
+    assert agg and all(row[2] == "2" and row[5] == "1" for row in agg)
+    with pytest.raises(ConservationError):
+        throughput_vs_connections(_fast_cfg(), [1], [1, 2])
 
 
 def test_cli_rejects_bad_config(tmp_path, capsys):

@@ -122,6 +122,34 @@ def test_symmetry():
     assert in_range(p, a, b) == in_range(p, b, a)
 
 
+def _agrees_with_graph(p, a, b) -> bool:
+    """in_range on two positions, read from arrays as the engine reads them,
+    against the edge of the graph built over them."""
+    px = np.array([a[0], b[0]])
+    py = np.array([a[1], b[1]])
+    g = build_graph([0, 1], px, py, p)
+    return in_range(p, (px[0], py[0]), (px[1], py[1])) == g.has_edge(0, 1)
+
+
+def test_in_range_agrees_with_graph_on_a_rounding_pair():
+    """A pair 250 m apart up to rounding, where the hypot of math.dist and
+    the graph's sqrt(dx*dx + dy*dy) fall on opposite sides of the range."""
+    p = _params(rx_threshold=threshold_for_range(_params(), 250.0))
+    assert _agrees_with_graph(p, (1509.5021550594522, 741.0891564079636),
+                              (1736.2231661791989, 635.7440895237487))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.sampled_from([80.0, 250.0, 800.0, 900.0]), st.sampled_from([-1e-13, 0.0, 1e-13]),
+       st.floats(0.0, 2000.0), st.floats(0.0, 2000.0), st.floats(0.0, 2 * math.pi))
+def test_in_range_agrees_with_graph_at_the_range(nominal, offset, x, y, angle):
+    """Pairs placed at the nominal range, or a hair either side of it: the
+    slot-time link check and the frame-start graph give the same answer."""
+    p = _params(rx_threshold=threshold_for_range(_params(), nominal))
+    d = nominal + offset
+    assert _agrees_with_graph(p, (x, y), (x + d * math.cos(angle), y + d * math.sin(angle)))
+
+
 def test_two_nodes_at_half_range_share_an_edge():
     thr = threshold_for_range(_params(), 250.0)
     p = _params(rx_threshold=thr)

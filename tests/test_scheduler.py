@@ -24,6 +24,8 @@ from mwsnsim.scheduler import (
     compute_pi_mdlps,
     compute_ulb,
     global_importance_ranking,
+    in_disc,
+    nearest,
     network_priority,
     pdr_gate,
     priority_tuple,
@@ -256,6 +258,19 @@ def test_score_tie_breaks_by_network_id():
     assert ranks == {"alfa": 1, "beta": 2}
 
 
+def test_event_disc_is_closed():
+    """A point at exactly the radius is inside, one a float step beyond it
+    is not, and network ranking counts the member on the rim."""
+    assert in_disc((3.0, 4.0), (0.0, 0.0), 5.0)
+    assert not in_disc((3.0, math.nextafter(4.0, 5.0)), (0.0, 0.0), 5.0)
+    assert in_disc((333.3, 0.0), (0.0, 0.0), 333.3)
+    nets = [Network("rim", 1e6, (0,)), Network("far", 2e6, (1,))]
+    pos = {0: (3.0, 4.0), 1: (900.0, 0.0)}
+    ranks, flagged = network_priority(nets, pos, (0.0, 0.0), 5.0, w_density=1.0, w_bandwidth=0.0)
+    assert ranks == {"rim": 1, "far": 2}
+    assert not flagged
+
+
 def test_network_priority_validation():
     nets = [Network("a", 1e6, (0,))]
     with pytest.raises(ValueError):
@@ -375,6 +390,20 @@ def test_assign_clusters_picks_nearest_in_range_head():
     reach = lambda a, b: abs(positions[a][0] - positions[b][0]) <= 20.0
     reports, orphans = assign_clusters([0, 1], [10, 11], positions, reach)
     assert reports == {10: [0, 1], 11: []}
+    assert orphans == []
+
+
+def test_nearest_tie_goes_to_lowest_id():
+    positions = {3: (1.0, 0.0), 5: (0.0, -1.0), 7: (-1.0, 0.0), 9: (0.5, 0.0)}
+    assert nearest((0.0, 0.0), [7, 5, 3], positions) == 3
+    assert nearest((0.0, 0.0), [7, 9, 3], positions) == 9
+    assert nearest((0.0, 0.0), [], positions) is None
+
+
+def test_assign_clusters_tie_goes_to_lowest_head_id():
+    positions = {0: (0.0, 0.0), 10: (-5.0, 0.0), 11: (5.0, 0.0)}
+    reports, orphans = assign_clusters([0], [11, 10], positions, lambda a, b: True)
+    assert reports == {10: [0], 11: []}
     assert orphans == []
 
 

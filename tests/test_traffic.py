@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from mwsnsim.config import validate_config
 from mwsnsim.engine import Simulation
 from mwsnsim.radio import ConnectivityGraph
-from mwsnsim.scheduler import FlowParams, GATE_SENTINEL
+from mwsnsim.scheduler import GATE_SENTINEL
 from mwsnsim.traffic import (
     Expired,
     Flow,
@@ -23,17 +23,15 @@ from mwsnsim.traffic import (
     next_hop,
 )
 
-FLOW = FlowParams()
-
 
 def _flow(**kw):
-    base = dict(id="f0", src=0, dst=9, interval=0.5, params=FLOW, start=0.0, stop=100.0)
+    base = dict(id="f0", src=0, dst=9, interval=0.5, start=0.0, stop=100.0)
     base.update(kw)
     return Flow(**base)
 
 
 def _packet(pid=0, deadline=100.0, importance=0.5, **kw):
-    base = dict(id=pid, flow="f0", src=0, dst=9, size=1000, created=0.0,
+    base = dict(id=pid, flow="f0", dst=9, size=1000, created=0.0,
                 deadline=deadline, importance=importance)
     base.update(kw)
     return Packet(**base)
