@@ -1,16 +1,19 @@
 """Check that two source trees produce byte-identical traces.
 
 Hashes (sha256) the canonical JSONL trace, `engine.trace_to_jsonl`, of every
-run of a fixed set: seeds 1-20 x both schemes on nine 22-40-node scenarios,
+run of a fixed set: seeds 1-20 x both schemes on ten 22-40-node scenarios,
 plus 1000 nodes at the stock 250 m range for 20 s, seeds 1-2 x both schemes.
 The `mwsnsim` package is imported from --src. One line per run is printed:
+the run, its trace hash, and one `kind:hash` pair per record kind (the hash
+of that kind's lines alone):
 
     python benchmarks/trace_identity.py --src /path/to/src
 
 With --against, the same set is also hashed under a second tree, in a
 separate process running alongside; each run whose hash differs, or that
-only one tree produced, is printed, and the exit status is 1 when there is
-any such run:
+only one tree produced, is printed with the record kinds (`hdr`, `tx`,
+`end`, ...) whose lines differ, and the exit status is 1 when there is any
+such run:
 
     python benchmarks/trace_identity.py --against /path/to/parent/src
 """
@@ -77,13 +80,19 @@ RUN_SET = {
                         "radio": {"nominal_range": 400.0}}, range(1, 21)),
     "four_sinks": (FOUR_SINKS, range(1, 21)),
     "two_networks": (TWO_NETWORKS, range(1, 21)),
+    # ticks every 0.25 s fall exactly on the 0.5 s frame boundaries
+    "tick_025": ({"mobility": {"tick_interval": 0.25}}, range(1, 21)),
     "fleet1000": ({"node_count": 1000, "session_duration": 20.0}, range(1, 3)),
 }
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def trace_hashes(src: str):
-    """Yield (run name, sha256 of its trace) for every run, importing
-    mwsnsim from the src tree."""
+    """Yield (run name, sha256 of its trace, {record kind: sha256 of that
+    kind's lines}) for every run, importing mwsnsim from the src tree."""
     sys.path.insert(0, os.path.abspath(src))
     from mwsnsim.config import load_config, validate_config
     from mwsnsim.engine import Simulation, trace_to_jsonl
@@ -94,8 +103,12 @@ def trace_hashes(src: str):
         for seed in seeds:
             for scheme in SCHEMES:
                 trace = Simulation(cfg, seed=seed, scheme=scheme).run()
-                digest = hashlib.sha256(trace_to_jsonl(trace).encode("utf-8")).hexdigest()
-                yield f"{name}/s{seed}/{scheme}", digest
+                text = trace_to_jsonl(trace)
+                by_kind: dict[str, list[str]] = {}
+                for rec, line in zip(trace, text.splitlines(keepends=True)):
+                    by_kind.setdefault(rec["k"], []).append(line)
+                yield (f"{name}/s{seed}/{scheme}", _sha256(text),
+                       {k: _sha256("".join(lines)) for k, lines in by_kind.items()})
 
 
 def main() -> int:
@@ -105,21 +118,28 @@ def main() -> int:
     ap.add_argument("--against", help="second source tree to compare every hash with")
     args = ap.parse_args()
     if args.against is None:
-        for run, digest in trace_hashes(args.src):
-            print(run, digest, flush=True)
+        for run, digest, kinds in trace_hashes(args.src):
+            print(run, digest, *(f"{k}:{h}" for k, h in sorted(kinds.items())), flush=True)
         return 0
     other = subprocess.Popen([sys.executable, os.path.abspath(__file__), "--src", args.against],
                              stdout=subprocess.PIPE, text=True)
-    ours = dict(trace_hashes(args.src))
+    ours = {run: (digest, kinds) for run, digest, kinds in trace_hashes(args.src)}
     out, _ = other.communicate()
     if other.returncode != 0:
         print(f"hashing under {args.against} failed with status {other.returncode}",
               file=sys.stderr)
         return 1
-    theirs = dict(line.split() for line in out.splitlines())
-    differ = sorted(run for run in ours.keys() | theirs.keys() if ours.get(run) != theirs.get(run))
+    theirs = {}
+    for line in out.splitlines():
+        run, digest, *pairs = line.split()
+        theirs[run] = (digest, dict(pair.split(":") for pair in pairs))
+    missing = ("-", {})
+    differ = sorted(run for run in ours.keys() | theirs.keys()
+                    if ours.get(run, missing)[0] != theirs.get(run, missing)[0])
     for run in differ:
-        print(f"DIFFERS {run}: {ours.get(run, '-')} (--src) {theirs.get(run, '-')} (--against)")
+        (a, ak), (b, bk) = ours.get(run, missing), theirs.get(run, missing)
+        kinds = ",".join(sorted(k for k in ak.keys() | bk.keys() if ak.get(k) != bk.get(k)))
+        print(f"DIFFERS {run}: {a} (--src) {b} (--against) kinds {kinds}")
     print(f"{len(ours)} runs under --src, {len(theirs)} under --against, {len(differ)} differ")
     return 1 if differ else 0
 

@@ -304,6 +304,7 @@ def _validate(d: dict[str, Any]) -> dict[str, Any]:
 
     if d["flows"] is not None:
         _require(isinstance(d["flows"], list), "flows", "must be a list or null")
+        seen_ids: set[str] = set()
         for i, fl in enumerate(d["flows"]):
             where = f"flows[{i}]"
             _require(isinstance(fl, dict), where, "must be a mapping")
@@ -312,6 +313,9 @@ def _validate(d: dict[str, Any]) -> dict[str, Any]:
                          f"{where}.{fld}", "must be a valid node id")
             _require(fl["src"] != fl["dst"], f"{where}.dst", "must differ from src")
             fl.setdefault("id", f"flow{i}")
+            # the engine keys flows by this string; a repeat would hide a flow
+            _require(str(fl["id"]) not in seen_ids, f"{where}.id", f"repeats flow id {fl['id']!r}")
+            seen_ids.add(str(fl["id"]))
             fl.setdefault("interval", d["cbr_interval"])
             fl.setdefault("start", 0.0)
             fl.setdefault("stop", d["session_duration"])

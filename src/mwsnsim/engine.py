@@ -22,7 +22,6 @@ from . import energy as energy_mod
 from . import radio as radio_mod
 from . import scheduler as sched
 from . import traffic as traffic_mod
-from ._kernels import BACKEND
 from .config import ScenarioConfig
 from .mobility import MobilityField, snapshot_classes
 
@@ -38,7 +37,6 @@ class BadRange(Exception):
 class EventKind(Enum):
     PACKET_GENERATED = "packet_generated"
     FRAME_BOUNDARY = "frame_boundary"
-    MOBILITY_TICK = "mobility_tick"
     CRITICAL_EVENT = "critical_event"
     SLOT_TRANSMIT = "slot_transmit"
     PACKET_DELIVERED = "packet_delivered"
@@ -169,7 +167,7 @@ class Simulation:
         self.trace.append({
             "k": "hdr", "t": 0.0, "seed": self.seed, "scheme": self.scheme,
             "n": self.n, "range": float(self.cfg["radio"]["nominal_range"]),
-            "rx_threshold": self.radio.rx_threshold, "backend": BACKEND,
+            "rx_threshold": self.radio.rx_threshold,
         })
 
     # construction ----------------------------------------------------------
@@ -219,9 +217,11 @@ class Simulation:
             pause_time=m["pause_time"],
             controlled_speed_cap=m["controlled_speed_cap"],
             patrol_radius=m["patrol_radius"],
+            tick_interval=m["tick_interval"],
         )
         self.class_thresholds = tuple(m["class_thresholds"])
-        self.tick_interval = m["tick_interval"]
+        # keyed by time alone: a query at t applies only ticks before t, so
+        # no later query at t can see other positions
         self._pos_cache: tuple[float, np.ndarray, np.ndarray] | None = None
 
     def _build_radio(self) -> None:
@@ -273,6 +273,9 @@ class Simulation:
                 ))
         self.flows = flows
         self.flow_by_id = {fl.id: fl for fl in flows}
+        # every packet goes to a flow's sink or (a critical-event report) to
+        # a base station, so these are all the hop maps routing can read
+        self.route_dsts = sorted({fl.dst for fl in flows} | set(self.bs_ids))
         self.queues = [traffic_mod.NodeQueue(cfg["queue_size"]) for _ in range(self.n)]
         self.trackers: dict[str, traffic_mod.PdrTracker] = {}
         self.next_packet_id = 0
@@ -303,8 +306,6 @@ class Simulation:
     def _schedule_initial_events(self) -> None:
         session = self.cfg.session_duration
         self.queue.schedule(0.0, EventKind.FRAME_BOUNDARY)
-        if self.tick_interval <= session:
-            self.queue.schedule(self.tick_interval, EventKind.MOBILITY_TICK)
         for idx, ev in enumerate(self.critical_events):
             self.queue.schedule(ev["time"], EventKind.CRITICAL_EVENT, (idx,))
         for fl in self.flows:
@@ -345,12 +346,8 @@ class Simulation:
         px, py = self._positions(t)
         self.graph = radio_mod.build_graph(
             alive, px[alive], py[alive], self.radio)
-        dsts = {fl.dst for fl in self.flows}
-        for q in self.queues:
-            for p in q:
-                dsts.add(p.dst)
         self.dist_maps = {dst: traffic_mod.hop_distances(self.graph, dst)
-                          for dst in sorted(dsts) if dst in self.graph}
+                          for dst in self.route_dsts if dst in self.graph}
 
     def _key_fn(self, node: int, t: float):
         """Fresh per-packet contention key for this node at this instant.
@@ -453,14 +450,6 @@ class Simulation:
                 orphans)
 
     # handlers ---------------------------------------------------------------
-    def _on_mobility_tick(self, ev: Event) -> None:
-        t = ev.time
-        self.mob.tick(t)
-        self._pos_cache = None
-        nxt = t + self.tick_interval
-        if nxt <= self.cfg.session_duration:
-            self.queue.schedule(nxt, EventKind.MOBILITY_TICK)
-
     def _on_frame_boundary(self, ev: Event) -> None:
         t = ev.time
         # the frame's idle charge comes first, so a node it drains is out of
@@ -656,7 +645,6 @@ class Simulation:
         self._generate_packet(flow_id, fl.src, fl.dst, t, imp)
 
     _HANDLERS = {
-        EventKind.MOBILITY_TICK: _on_mobility_tick,
         EventKind.FRAME_BOUNDARY: _on_frame_boundary,
         EventKind.SLOT_TRANSMIT: _on_slot_transmit,
         EventKind.PACKET_DELIVERED: _on_packet_delivered,
@@ -682,6 +670,9 @@ class Simulation:
         self._finalized = True
         t_end = self.cfg.session_duration
         self.run_until(t_end)
+        # the fleet's ticks up to and including the session end, so the
+        # mobility stream's draw count covers the whole session
+        self.mob.advance(math.nextafter(t_end, math.inf))
         # packets still on the air when the session closes count as starved
         for event in sorted(self.queue._heap):
             if event.kind is EventKind.PACKET_DELIVERED:

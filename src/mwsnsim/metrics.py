@@ -124,15 +124,6 @@ def execution_order(trace: list[dict], event_index: int) -> list[int]:
     return order
 
 
-def first_frame_grantees(trace: list[dict], event_index: int) -> set[int]:
-    """Nodes granted a position in the first frame at or after the event."""
-    t_ev = _event_time(trace, event_index)
-    for rec in trace:
-        if rec["k"] == "frame" and rec["t"] >= t_ev:
-            return {g[2] for g in rec["g"]} | {g[2] for g in rec["x"]}
-    return set()
-
-
 def drop_breakdown(trace: list[dict]) -> dict[str, int]:
     out = {c: 0 for c in DROP_CAUSES}
     for rec in trace:
@@ -172,26 +163,11 @@ def depleted_nodes(trace: list[dict]) -> list[int]:
     return [rec["n"] for rec in trace if rec["k"] == "dep"]
 
 
-def transmitters_respect_depletion(trace: list[dict]) -> bool:
-    """No node transmits after its depletion record."""
-    dead: set[int] = set()
-    for rec in trace:
-        if rec["k"] == "dep":
-            dead.add(rec["n"])
-        elif rec["k"] == "tx" and rec["u"] in dead:
-            return False
-    return True
-
-
 def _end_record(trace: list[dict]) -> dict:
     for rec in reversed(trace):
         if rec["k"] == "end":
             return rec
     raise ValueError("trace has no end record")
-
-
-def stream_draws(trace: list[dict]) -> dict[str, int]:
-    return _end_record(trace)["draws"]
 
 
 def orphan_frame_count(trace: list[dict]) -> int:

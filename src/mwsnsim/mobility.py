@@ -51,6 +51,12 @@ class MobilityField:
     """Kinematic state for the whole fleet: random-waypoint motion stepped
     in bulk by `_kernels.step_waypoints` and interpolated between ticks.
 
+    The field keeps its own clock. Ticks fall at tick_interval,
+    tick_interval + tick_interval, ... (times accumulate by repeated
+    addition), and every query at time t first applies the ticks strictly
+    before t. A query at t therefore never sees a tick at t, and positions
+    and speeds are a pure function of t for queries at non-decreasing times.
+
     A node that reaches its waypoint at t_arr pauses until t_arr +
     pause_time. Its next leg is drawn at the first tick whose window starts
     (the previous tick) at or after that pause end, and the leg's motion
@@ -70,6 +76,7 @@ class MobilityField:
         pause_time: float = 2.0,
         controlled_speed_cap: float = 2.0,
         patrol_radius: float = 200.0,
+        tick_interval: float = 0.1,
     ):
         n = positions.shape[0]
         self.n = n
@@ -86,7 +93,9 @@ class MobilityField:
         self.speed = np.zeros(n)
         self.pause_until = np.full(n, -1.0)
         self.needs_leg = np.zeros(n, dtype=bool)
+        self.interval = tick_interval
         self.last_tick = 0.0
+        self.next_tick = tick_interval
         # fixed patrol loops for controlled nodes, drawn once near the start point
         self.patrol: dict[int, list[tuple[float, float]]] = {}
         self.patrol_idx: dict[int, int] = {}
@@ -118,19 +127,17 @@ class MobilityField:
             self.speed[i] = self.rng.uniform(*self.speed_range)
         self.needs_leg[i] = False
 
-    def tick(self, t: float) -> None:
-        """Advance the fleet from the previous tick time to t."""
-        dt = t - self.last_tick
-        if dt <= 0:
-            return
-        now = self.last_tick
+    def tick(self) -> None:
+        """Apply the next tick: advance the fleet from the previous tick
+        time to next_tick."""
+        now, t = self.last_tick, self.next_tick
         # nodes whose pause expired by the start of this window get a new leg
         if self.needs_leg.any():
             for i in np.flatnonzero(self.needs_leg):
                 if self.pause_until[i] <= now:
                     self._new_leg(i)
         t_arr = _kernels.step_waypoints(
-            self.px, self.py, self.wx, self.wy, self.speed, self.pause_until, now, dt
+            self.px, self.py, self.wx, self.wy, self.speed, self.pause_until, now, t - now
         )
         arrived = t_arr >= 0.0
         if arrived.any():
@@ -139,14 +146,22 @@ class MobilityField:
                     self.pause_until[i] = t_arr[i] + self.pause_time
                     self.needs_leg[i] = True
         self.last_tick = t
+        self.next_tick = t + self.interval
+
+    def advance(self, t: float) -> None:
+        """Apply every tick strictly before t."""
+        if t < self.last_tick:
+            raise ValueError(f"query at {t} precedes last tick {self.last_tick}")
+        while self.next_tick < t:
+            self.tick()
 
     def positions_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Interpolated positions of all nodes at time t >= last tick."""
-        dt = t - self.last_tick
-        if dt < 0:
-            raise ValueError(f"position query at {t} precedes last tick {self.last_tick}")
+        """Positions of all nodes at time t, interpolated from the last tick
+        before t."""
+        self.advance(t)
         px = self.px.copy()
         py = self.py.copy()
+        dt = t - self.last_tick
         if dt > 0:
             _kernels.step_waypoints(px, py, self.wx, self.wy, self.speed, self.pause_until, self.last_tick, dt)
         return px, py
@@ -154,6 +169,7 @@ class MobilityField:
     def instantaneous_speed(self, node: int, t: float) -> float:
         if not (0 <= node < self.n):
             raise UnknownNode(f"no node {node}")
+        self.advance(t)
         if self.needs_leg[node] or self.pause_until[node] > t:
             return 0.0
         return float(self.speed[node])

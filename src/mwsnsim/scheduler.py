@@ -127,10 +127,6 @@ def candidate_key(c: Candidate):
     return (c.pi, -int(c.mob_class), _battery_rank(c.batt_level), c.node)
 
 
-def rank_candidates(candidates) -> list[Candidate]:
-    return sorted(candidates, key=candidate_key)
-
-
 def _squared_distance(a: tuple[float, float], b: tuple[float, float]) -> float:
     dx = a[0] - b[0]
     dy = a[1] - b[1]
@@ -255,9 +251,6 @@ class SlotGrid:
 
     def holder(self, pos: tuple[int, int]) -> int | None:
         return self.assignment[pos]
-
-    def assigned_nodes(self) -> set[int]:
-        return {n for n in self.assignment.values() if n is not None}
 
 
 def allocate_slots(sources, grid: SlotGrid) -> SlotGrid:

@@ -10,6 +10,13 @@ import time
 
 import numpy as np
 
+from helpers import (
+    assigned_nodes,
+    first_frame_grantees,
+    rank_candidates,
+    stream_draws,
+    transmitters_respect_depletion,
+)
 from mwsnsim import metrics
 from mwsnsim.config import validate_config
 from mwsnsim.engine import Simulation, trace_to_jsonl
@@ -25,7 +32,6 @@ from mwsnsim.scheduler import (
     compute_pi_data,
     compute_pi_mdlps,
     compute_ulb,
-    rank_candidates,
 )
 
 FLOW = FlowParams(desired_pdr=0.9, pdr_threshold=0.25, deadline_budget=5.0)
@@ -137,7 +143,7 @@ def test_criterion_2_ordering_oracle():
         expected = []
         for n1 in sorted(groups):
             expected.extend(c.node for c in _brute_sort(groups[n1]))
-        if grid.assigned_nodes() != set(expected[:k]):
+        if assigned_nodes(grid) != set(expected[:k]):
             mismatches += 1
         holders = [h for h in grid.assignment.values() if h is not None]
         if len(holders) != len(set(holders)):
@@ -220,7 +226,7 @@ def test_criterion_4_data_priority_fixes_execution_order():
         for scheme in ("data", "mdlps"):
             trace = Simulation(cfg, seed=seed, scheme=scheme).run()
             if scheme == "data":
-                if reporter in metrics.first_frame_grantees(trace, 0):
+                if reporter in first_frame_grantees(trace, 0):
                     first_frame_grants += 1
             order = metrics.execution_order(trace, 0)
             ranks[scheme].append(order.index(reporter) + 1
@@ -300,7 +306,7 @@ def test_criterion_6_conservation_suite():
         assert sum(cons["fates"].values()) == cons["generated"]
         assert metrics.max_queue_length(trace) <= cfg["queue_size"]
         assert metrics.energy_monotone(trace)
-        assert metrics.transmitters_respect_depletion(trace)
+        assert transmitters_respect_depletion(trace)
         if expect_depletion:
             assert metrics.depleted_nodes(trace), "depletion scenario never depleted"
             depletion_exercised = True
@@ -331,7 +337,7 @@ def test_criterion_7_determinism_and_paired_worlds():
     b = Simulation(cfg, seed=7, scheme="data").run()
     assert ([_world_key(r) for r in a if r["k"] == "gen"]
             == [_world_key(r) for r in b if r["k"] == "gen"])
-    assert metrics.stream_draws(a) == metrics.stream_draws(b)
+    assert stream_draws(a) == stream_draws(b)
     print("\nACCEPTANCE 7 PASS: byte-identical replays; paired schemes share "
           "generation times, importance draws, and per-stream draw counts")
 

@@ -20,10 +20,10 @@ from mwsnsim.engine import (
 
 def test_schedule_single_event_is_head():
     q = EventQueue()
-    q.schedule(1.0, EventKind.MOBILITY_TICK)
+    q.schedule(1.0, EventKind.FRAME_BOUNDARY)
     assert q.peek_time() == 1.0
     ev = q.pop()
-    assert ev.time == 1.0 and ev.kind is EventKind.MOBILITY_TICK
+    assert ev.time == 1.0 and ev.kind is EventKind.FRAME_BOUNDARY
 
 
 def test_equal_time_events_dequeue_in_schedule_order():
@@ -37,15 +37,15 @@ def test_equal_time_events_dequeue_in_schedule_order():
 
 def test_schedule_in_the_past_raises():
     q = EventQueue()
-    q.schedule(1.0, EventKind.MOBILITY_TICK)
+    q.schedule(1.0, EventKind.FRAME_BOUNDARY)
     q.pop()
     with pytest.raises(PastEvent):
-        q.schedule(0.5, EventKind.MOBILITY_TICK)
+        q.schedule(0.5, EventKind.FRAME_BOUNDARY)
 
 
 def test_nothing_due_processes_nothing():
     q = EventQueue()
-    q.schedule(0.5, EventKind.MOBILITY_TICK)
+    q.schedule(0.5, EventKind.FRAME_BOUNDARY)
     processed = []
     while len(q) and q.peek_time() <= 0.0:
         processed.append(q.pop())
@@ -356,3 +356,25 @@ def test_packet_in_flight_at_session_end_is_starved():
     drops = [rec for rec in trace if rec["k"] == "drop"]
     assert len(drops) == 1
     assert drops[0]["c"] == "starved" and drops[0].get("d") == "in_flight"
+
+
+def test_reports_route_to_sinks_that_no_flow_uses():
+    """Graph rebuilds compute hop maps for a fixed set of destinations,
+    fixed at set-up: every flow sink and every base station. A critical
+    event's reports go to each reporter's nearest base station, so they
+    reach base stations that no flow targets."""
+    cfg = validate_config({
+        "node_count": 24, "cluster_heads": 2, "base_stations": 4,
+        "terrain_area": {"width": 600.0, "height": 600.0},
+        "session_duration": 8.0,
+        "radio": {"nominal_range": 900.0},
+        "flows": [{"id": "f0", "src": 0, "dst": 23, "interval": 1.0}],
+        "critical_events": [{"time": 2.0, "x": 300.0, "y": 300.0, "radius": 1000.0}],
+    })
+    sim = Simulation(cfg, seed=1, scheme="mdlps")
+    trace = sim.run()
+    gen_dst = {rec["p"]: rec["dst"] for rec in trace if rec["k"] == "gen"}
+    delivered = {gen_dst[rec["p"]] for rec in trace if rec["k"] == "rx" and rec["fin"]}
+    assert delivered - {23}, delivered
+    assert sim.route_dsts == [20, 21, 22, 23]
+    assert set(gen_dst.values()) <= set(sim.route_dsts)

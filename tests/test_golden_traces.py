@@ -51,28 +51,32 @@ TWO_NETWORKS = {
 # name -> (config overrides or a file under configs/, seed, scheme, sha256)
 GOLDEN = {
     "stock_mdlps": ({}, 1, "mdlps",
-                    "245a3a3f42037204bd5b735850b8bdb15a6d1468db510c978684ab1e9e316149"),
+                    "7ebb1a995b809b3ba50c0e0c75a0578b197d9ea82f8d086dbc02e55747e89980"),
     "stock_data": ({}, 1, "data",
-                   "edc9b98203a5d34214fa9d9a9e8b8d650b8b926bd601a48333e7bc3e8cc78797"),
+                   "34f351eab36d8ca11d186745759be8dcce50d1000010de210ef338f27b1638ba"),
     "event_study_mdlps": ("event_study.yaml", 1, "mdlps",
-                          "2c4cad2016dc12c6f44fb19d913e539c9c69ccaedce9e8e2e6ad07b3413dc086"),
+                          "62cd9a6a8f4bbcb415e243dc2cd6251f9a04a5b76d637d6dcbaddea27e74250b"),
     "event_study_data": ("event_study.yaml", 1, "data",
-                         "b1889424b000651b5ca1c5355e372842ed20481b0e6ca3df61f98f1aa686217e"),
+                         "00e1fe2bd585e0b4f04e24f6255f7ee8350dc17ea897c58aa322c3bc73cf2883"),
     "capacity_10_flows_mdlps": (CAPACITY_ARENA, 1, "mdlps",
-                                "4d07cd6b435166b23a8eae847ce3180e532ab4e4326aa1c7426da47263c2c26d"),
+                                "be3c5e47d15f8bc7b4e8167d801ace9fd871cb842112e15ad5f91897d7cae0e3"),
     "orphans_excluded_data": ({"options": {"orphan_policy": "exclude"}}, 1, "data",
-                              "2358b4384a376c58c15b952ad900f5e07e9a7e8b4c9818e5b66d570a6eed9468"),
+                              "508ad256e780360d7ca8a000f5536dad2a8140d83cb5cb468abe348f71c0d63f"),
     "hard_gate_mdlps": ({"options": {"gate_mode": "drop"},
                          "radio": {"nominal_range": 400.0}}, 1, "mdlps",
-                        "e3010c7492b52046904777963fa63655848053836284be348cbd0fe2ce85f2b2"),
+                        "9193b5ccb4789e2bcb55aeb1539cb3becad33bf9b16d11458803e07769fd63c3"),
     "fleet_200_data": ({"node_count": 200, "session_duration": 20.0}, 1, "data",
-                       "1c0ff0f7fc74e60172b0a6148f0a333e1a12d4819a1b46934026958ee8fc2082"),
+                       "3eea31f69b0375a64db7b0a793bcbc46e49f6f9b3ddb6f1fdcc61008c6d53ede"),
     "four_sinks_mdlps": (FOUR_SINKS, 1, "mdlps",
-                         "3d0fafaec224eefcb179d56258964999ad89e8275d0ade8f7e6be65f4a794ebb"),
+                         "e599d9ea9a38db642f9e422c3fb02c1245031f444785976cd10a6582eb6d4dfe"),
     "four_sinks_data": (FOUR_SINKS, 1, "data",
-                        "7f0388044514acc755af4a6442069aa4de79e9180c9af73890168cbc153480da"),
+                        "c0e081d2db366ccf4c44cb2a481f629320229df5d4e509a911ea0b746f2f7494"),
     "two_networks_data": (TWO_NETWORKS, 1, "data",
-                          "7bc391eda6b1d05306ccc9766d51b03d831282f830ec51eb1a9752c07ce38dc2"),
+                          "aeb74b4bfeee1dd66c7c38cab5aa86f6d32a4e10497ccbb3c6ec241a3c4f7984"),
+    # ticks on every frame boundary: the run where a tick at a slot instant
+    # must not count before that instant
+    "tick_025_mdlps": ({"mobility": {"tick_interval": 0.25}}, 9, "mdlps",
+                       "0707cab1a6177183e282e8f1ebe38a2f226353a7617a2cc4e59979aeccda9fa4"),
 }
 
 

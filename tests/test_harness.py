@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from helpers import stream_draws
 from mwsnsim import metrics
 from mwsnsim.cli import main as cli_main
 from mwsnsim.config import (
@@ -59,6 +60,17 @@ def test_desired_pdr_must_exceed_threshold():
     with pytest.raises(ValidationError) as err:
         validate_config({"flow": {"desired_pdr": 0.2, "pdr_threshold": 0.25}})
     assert err.value.field == "flow.desired_pdr"
+
+
+@pytest.mark.parametrize("flows", [
+    [{"id": "x", "src": 0, "dst": 21}, {"id": "x", "src": 1, "dst": 21}],
+    # an explicit id equal to a later entry's default id
+    [{"id": "flow1", "src": 0, "dst": 21}, {"src": 1, "dst": 21}],
+])
+def test_repeated_flow_id_rejected(flows):
+    with pytest.raises(ValidationError) as err:
+        validate_config({"flows": flows})
+    assert err.value.field == "flows[1].id"
 
 
 def test_malformed_yaml_is_parse_error():
@@ -125,7 +137,7 @@ def test_paired_schemes_share_the_world(tmp_path):
     for rep in reports:
         worlds.append([key(rec) for rec in rep.trace if rec["k"] == "gen"])
     assert worlds[0] == worlds[1]
-    draws = [metrics.stream_draws(rep.trace) for rep in reports]
+    draws = [stream_draws(rep.trace) for rep in reports]
     assert draws[0] == draws[1]
 
 

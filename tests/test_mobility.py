@@ -8,6 +8,8 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mwsnsim import _kernels
 from mwsnsim.config import validate_config
@@ -109,23 +111,24 @@ def _field(n=22, terrain=(2000.0, 2000.0), seed=1, controlled=None, **kw):
     return MobilityField(pos, controlled, terrain, rng, patrol, **kw)
 
 
-def _one_node_leg(field, i, x, y, wx, wy, speed, t0):
-    """Put node i on a known leg that starts at tick time t0."""
+def _one_node_leg(field, i, x, y, wx, wy, speed):
+    """Put node i on a known leg that starts at time 0."""
     field.px[i], field.py[i] = x, y
     field.wx[i], field.wy[i] = wx, wy
     field.speed[i] = speed
     field.pause_until[i] = -1.0
     field.needs_leg[i] = False
-    field.last_tick = t0
 
 
 def test_arrival_snaps_to_waypoint_and_pauses():
-    # 1 m at 10 m/s from the 0.3 s tick: arrival at 0.4 s, pause 2 s
-    field = _field(n=1, pause_time=2.0)
-    _one_node_leg(field, 0, 0.0, 0.0, 1.0, 0.0, 10.0, t0=0.3)
-    field.tick(0.8)
+    # 1 m at 10 m/s from 0 s: arrival at 0.1 s, pause 2 s; a query at 0.6 s
+    # applies the 0.5 s tick, which records the arrival
+    field = _field(n=1, pause_time=2.0, tick_interval=0.5)
+    _one_node_leg(field, 0, 0.0, 0.0, 1.0, 0.0, 10.0)
+    px, py = field.positions_at(0.6)
+    assert (px[0], py[0]) == (1.0, 0.0)
     assert (field.px[0], field.py[0]) == (1.0, 0.0)
-    assert field.pause_until[0] == pytest.approx(0.4 + 2.0, abs=1e-12)
+    assert field.pause_until[0] == pytest.approx(0.1 + 2.0, abs=1e-12)
     assert field.needs_leg[0]
     # the kernel itself reports t_arr = now + dist/speed
     _, _, t_arr = _step_one(0.0, 0.0, 1.0, 0.0, speed=10.0, pause_until=-1.0, now=0.3, dt=0.5)
@@ -137,48 +140,56 @@ def test_new_leg_drawn_at_first_tick_after_pause(pause_time, draw_tick):
     """Arrival at 0.1 s; the pause ends at 0.1 + pause_time. The next leg is
     drawn at the first tick whose previous tick is at or after the pause
     end (0.5 s exactly draws at the 1.0 s tick; 0.55 s waits for 1.5 s), and
-    its motion counts from that previous tick."""
-    field = _field(n=1, terrain=(50.0, 50.0), speed_range=(2.0, 4.0), pause_time=pause_time)
-    _one_node_leg(field, 0, 0.0, 0.0, 1.0, 0.0, 10.0, t0=0.0)
+    its motion counts from that previous tick. A query a quarter interval
+    after a tick applies that tick."""
+    field = _field(n=1, terrain=(50.0, 50.0), speed_range=(2.0, 4.0), pause_time=pause_time,
+                   tick_interval=0.5)
+    _one_node_leg(field, 0, 0.0, 0.0, 1.0, 0.0, 10.0)
     t = 0.0
     while t < draw_tick - 0.5:
         t += 0.5
-        field.tick(t)
+        field.positions_at(t + 0.25)
         assert field.needs_leg[0]
         assert (field.px[0], field.py[0], field.wx[0], field.wy[0]) == (1.0, 0.0, 1.0, 0.0)
+    # a query at the draw tick's own time does not apply that tick
+    px, py = field.positions_at(draw_tick)
+    assert field.needs_leg[0] and (px[0], py[0]) == (1.0, 0.0)
     expected = copy.deepcopy(field.rng)
     wx, wy, speed = (expected.uniform(0.0, 50.0), expected.uniform(0.0, 50.0),
                      expected.uniform(2.0, 4.0))
-    field.tick(draw_tick)
+    px, py = field.positions_at(draw_tick + 0.25)
     assert not field.needs_leg[0]
     assert (field.wx[0], field.wy[0], field.speed[0]) == (wx, wy, speed)
     dist = np.hypot(wx - 1.0, wy)
     moved = min(speed * 0.5, dist)
     assert field.px[0] == pytest.approx(1.0 + (wx - 1.0) / dist * moved, abs=1e-9)
     assert field.py[0] == pytest.approx(wy / dist * moved, abs=1e-9)
+    moved = min(speed * 0.75, dist)
+    assert px[0] == pytest.approx(1.0 + (wx - 1.0) / dist * moved, abs=1e-9)
+    assert py[0] == pytest.approx(wy / dist * moved, abs=1e-9)
 
 
 def test_legs_drawn_in_ascending_node_id():
-    field = _field(n=3, terrain=(50.0, 50.0), speed_range=(2.0, 4.0), pause_time=0.1)
+    field = _field(n=3, terrain=(50.0, 50.0), speed_range=(2.0, 4.0), pause_time=0.1,
+                   tick_interval=0.5)
     for i in (2, 0, 1):
-        _one_node_leg(field, i, 0.0, float(i), 1.0, float(i), 10.0, t0=0.0)
-    field.tick(0.5)
+        _one_node_leg(field, i, 0.0, float(i), 1.0, float(i), 10.0)
+    field.positions_at(0.75)
     assert field.needs_leg.all()
     expected = copy.deepcopy(field.rng)
     legs = [(expected.uniform(0.0, 50.0), expected.uniform(0.0, 50.0), expected.uniform(2.0, 4.0))
             for _ in range(3)]
-    field.tick(1.0)
+    field.positions_at(1.25)
     assert [(field.wx[i], field.wy[i], field.speed[i]) for i in range(3)] == legs
 
 
 def test_speed_is_zero_while_next_leg_pending():
-    # the pause ends at 0.2 s, but until the next tick draws a leg the node
+    # the pause ends at 0.2 s, but until the 1.0 s tick draws a leg the node
     # stands still and reports speed 0
-    field = _field(n=1, pause_time=0.1)
-    _one_node_leg(field, 0, 0.0, 0.0, 1.0, 0.0, 10.0, t0=0.0)
-    field.tick(0.5)
+    field = _field(n=1, pause_time=0.1, tick_interval=0.5)
+    _one_node_leg(field, 0, 0.0, 0.0, 1.0, 0.0, 10.0)
+    assert field.instantaneous_speed(0, 0.6) == 0.0
     assert field.needs_leg[0] and field.pause_until[0] < 0.5
-    assert field.instantaneous_speed(0, 0.5) == 0.0
     assert field.speeds_at(0.7) == {0: 0.0}
     px, py = field.positions_at(0.7)
     assert (px[0], py[0]) == (1.0, 0.0)
@@ -186,9 +197,32 @@ def test_speed_is_zero_while_next_leg_pending():
 
 def test_positions_before_last_tick_rejected():
     field = _field(n=2)
-    field.tick(1.0)
+    field.positions_at(1.05)
     with pytest.raises(ValueError):
         field.positions_at(0.5)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from([0.1, 0.25, 0.3, 1.0]), st.sampled_from([0.0, 0.2, 2.0]),
+       st.floats(0.0, 20.0), st.lists(st.floats(0.0, 1.0), max_size=30))
+def test_positions_are_a_function_of_time(tick_interval, pause_time, horizon, fractions):
+    """Queries at any increasing times before T leave positions_at(T), the
+    speeds at T and the mobility draws exactly as a fresh field queried only
+    at T."""
+    controlled = np.arange(8) >= 6
+    kw = dict(n=8, terrain=(100.0, 100.0), controlled=controlled, pause_time=pause_time,
+              tick_interval=tick_interval)
+    queried, fresh = _field(**kw), _field(**kw)
+    for t in sorted(f * horizon for f in fractions):
+        queried.positions_at(t)
+        queried.speeds_at(t)
+    px, py = queried.positions_at(horizon)
+    qx, qy = fresh.positions_at(horizon)
+    assert np.array_equal(px, qx) and np.array_equal(py, qy)
+    assert queried.speeds_at(horizon) == fresh.speeds_at(horizon)
+    assert queried.rng.draws == fresh.rng.draws
+    # and each has applied exactly the ticks before T
+    assert fresh.last_tick < horizon <= fresh.next_tick or horizon == 0.0
 
 
 def test_classify_below_first_threshold():
@@ -229,40 +263,44 @@ def test_snapshot_per_node_rule():
 
 def test_positions_stay_in_bounds_over_many_steps():
     """10^4 random steps never leave the terrain rectangle."""
-    field = _field(n=10)
+    field = _field(n=10, tick_interval=0.1)
     t = 0.0
     for _ in range(1000):
         t += 0.1
-        field.tick(t)
-        assert np.all(field.px >= 0) and np.all(field.px <= 2000.0)
-        assert np.all(field.py >= 0) and np.all(field.py <= 2000.0)
+        px, py = field.positions_at(t)
+        assert np.all(px >= 0) and np.all(px <= 2000.0)
+        assert np.all(py >= 0) and np.all(py <= 2000.0)
 
 
 def test_speed_bounds_by_regime():
     controlled = np.zeros(8, dtype=bool)
     controlled[6:] = True
     field = _field(n=8, controlled=controlled,
-                   speed_range=(1.0, 20.0), controlled_speed_cap=2.0)
+                   speed_range=(1.0, 20.0), controlled_speed_cap=2.0, tick_interval=0.1)
     t = 0.0
     for _ in range(300):
         t += 0.1
-        field.tick(t)
+        speeds = field.speeds_at(t)
         for i in range(6):
             assert 1.0 <= field.speed[i] <= 20.0
+            assert speeds[i] in (0.0, field.speed[i])
         for i in (6, 7):
-            assert field.speed[i] <= 2.0
+            assert field.speed[i] <= 2.0 and speeds[i] <= 2.0
 
 
 def test_position_at_tick_time_is_stored_position():
-    field = _field(n=4)
-    field.tick(0.1)
+    """A query at a tick's time, which does not apply that tick, gives the
+    positions the tick then stores."""
+    field = _field(n=4, tick_interval=0.1)
     px, py = field.positions_at(0.1)
+    field.positions_at(0.15)
+    assert field.last_tick == 0.1
     assert np.array_equal(px, field.px) and np.array_equal(py, field.py)
 
 
 def test_position_interpolates_linearly_midleg():
     field = _field(n=1)
-    _one_node_leg(field, 0, 0.0, 0.0, 10.0, 0.0, 10.0, t0=0.0)
+    _one_node_leg(field, 0, 0.0, 0.0, 10.0, 0.0, 10.0)
     px, py = field.positions_at(0.5)
     assert px[0] == pytest.approx(5.0, abs=1e-12) and py[0] == 0.0
 
@@ -271,7 +309,6 @@ def test_paused_node_position_constant():
     field = _field(n=1)
     field.px[0], field.py[0] = 3.0, 4.0
     field.pause_until[0] = 99.0
-    field.last_tick = 0.0
     for t in (0.02, 0.05, 0.09):
         px, py = field.positions_at(t)
         assert (px[0], py[0]) == (3.0, 4.0)

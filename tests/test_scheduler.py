@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import assigned_nodes, rank_candidates
 from mwsnsim.mobility import MobilityClass
 from mwsnsim.scheduler import (
     Candidate,
@@ -29,7 +30,6 @@ from mwsnsim.scheduler import (
     network_priority,
     pdr_gate,
     priority_tuple,
-    rank_candidates,
     tuple_key,
 )
 
@@ -319,7 +319,7 @@ def test_oversubscribed_grid_keeps_best_twenty():
     sources = _tuples(pis)
     grid = SlotGrid(4, 5, 0.5)
     allocate_slots(sources, grid)
-    assigned = grid.assigned_nodes()
+    assigned = assigned_nodes(grid)
     assert len(assigned) == 20
     best = {pt.node for pt in sorted(sources, key=tuple_key)[:20]}
     assert assigned == best
@@ -378,7 +378,7 @@ def test_allocation_membership_matches_brute_force_quick():
         allocate_slots(cands, grid)
         k = min(n, f * s)
         expected = {pt.node for pt in sorted(cands, key=tuple_key)[:k]}
-        assert grid.assigned_nodes() == expected
+        assert assigned_nodes(grid) == expected
         holders = [h for h in grid.assignment.values() if h is not None]
         assert len(holders) == len(set(holders))
 
