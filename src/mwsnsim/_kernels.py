@@ -1,12 +1,9 @@
 """Numeric kernels: waypoint fleet stepping and all-pairs link power.
 
 The engine steps the fleet with step_waypoints. It no longer calls
-pair_power: radio.build_graph tests its own index pairs (every pair of a
-small layout, the cell grid's pairs of a larger one), and the dense power
-matrix stays as the reference the graph tests compare against. Both kernels
-are plain numpy; step_waypoints is a handful of whole-array operations, as
-at fleet sizes of a few dozen each numpy call costs more than its
-arithmetic.
+pair_power: radio.build_graph tests only the pairs its cell grid yields, and
+the dense power matrix stays as the reference the graph tests compare
+against. Both kernels are plain numpy.
 """
 
 import numpy as np
@@ -22,26 +19,23 @@ def step_waypoints(px, py, wx, wy, speed, pause_until, now, dt):
     their waypoint during this step, -1.0 elsewhere.
     """
     n = px.shape[0]
+    t_arr = np.full(n, -1.0)
     moving = pause_until <= now
     dx = wx - px
     dy = wy - py
     dist = np.sqrt(dx * dx + dy * dy)
     adv = speed * dt
     arrive = moving & (adv >= dist)
-    partial = moving ^ arrive
-    # a partial step has dist > adv >= 0; elsewhere the fraction is adv/inf = 0
-    frac = adv / np.where(partial, dist, np.inf)
-    np.add(px, dx * frac, out=px, where=partial)
-    np.add(py, dy * frac, out=py, where=partial)
-    t_arr = np.empty(n)
-    t_arr.fill(-1.0)
-    if np.count_nonzero(arrive):
-        np.copyto(px, wx, where=arrive)
-        np.copyto(py, wy, where=arrive)
-        # an arrival with dist > 0 has speed > 0 (adv >= dist > 0); one with
-        # dist == 0 arrives at `now`
-        leg = np.divide(dist, speed, out=np.zeros(n), where=arrive & (dist > 0.0))
-        np.add(now, leg, out=t_arr, where=arrive)
+    partial = moving & ~arrive
+    with np.errstate(invalid="ignore", divide="ignore"):
+        frac = np.where(dist > 0.0, adv / dist, 0.0)
+    px[partial] += dx[partial] * frac[partial]
+    py[partial] += dy[partial] * frac[partial]
+    px[arrive] = wx[arrive]
+    py[arrive] = wy[arrive]
+    # within the arrive mask, dist > 0 implies speed > 0 (adv >= dist > 0)
+    safe_speed = np.where(speed > 0.0, speed, 1.0)
+    t_arr[arrive] = now + np.where(dist[arrive] > 0.0, dist[arrive] / safe_speed[arrive], 0.0)
     return t_arr
 
 

@@ -105,13 +105,11 @@ class RandomStream:
         if a > b:
             raise BadRange(f"uniform({a}, {b}): need a <= b")
         self.draws += 1
-        # Generator.uniform(a, b) is a + (b - a) * random(), bit for bit; the
-        # scalar random() call costs a quarter as much
-        u = self._gen.random()
         if a == b:
-            # the draw still advances the stream, so call counts stay comparable
+            # still advance the stream so call counts stay comparable
+            self._gen.uniform(0.0, 1.0)
             return float(a)
-        return float(a + (b - a) * u)
+        return float(self._gen.uniform(a, b))
 
     def sample(self, population, k: int) -> list:
         """k distinct elements from population, order drawn from the stream."""
@@ -358,11 +356,13 @@ class Simulation:
         never transmit, so they lose every contention and every eviction).
         """
         sentinel = sched.GATE_SENTINEL
-        # compute_ulb's divisor 2^hops for each destination this node can reach
-        divisor = {dst: 2.0 ** dmap[node] for dst, dmap in self.dist_maps.items() if node in dmap}
+        dist_maps = self.dist_maps
         if self.scheme == "data":
             def key(p: traffic_mod.Packet) -> float:
-                if t >= p.deadline or p.dst not in divisor:
+                if t >= p.deadline:
+                    return sentinel
+                dmap = dist_maps.get(p.dst)
+                if dmap is None or node not in dmap:
                     return sentinel
                 return sched.compute_pi_data(p.importance)
             return key
@@ -377,8 +377,9 @@ class Simulation:
         def key(p: traffic_mod.Packet) -> float:
             if t >= p.deadline:
                 return sentinel
-            div = divisor.get(p.dst)
-            if div is None:
+            dmap = dist_maps.get(p.dst)
+            hops = dmap.get(node) if dmap is not None else None
+            if hops is None:
                 return sentinel
             pdr = pdr_cache.get(p.flow)
             if pdr is None:
@@ -386,7 +387,7 @@ class Simulation:
                 pdr = tracker.value if tracker is not None else 1.0
                 pdr_cache[p.flow] = pdr
             # compute_ulb's budget; t < deadline here, so it needs no clamp
-            return sched.mdlps_index(pdr, flow, (p.deadline - t) / div, v, x)
+            return sched.mdlps_index(pdr, flow, (p.deadline - t) / (2.0 ** hops), v, x)
         return key
 
     def _gated_out(self, packet: traffic_mod.Packet) -> bool:
@@ -398,11 +399,8 @@ class Simulation:
         if self._gated_out(packet):
             self._drop(packet, node, t, "gated")
             return
-        q = self.queues[node]
-        # the key only picks what an overflow evicts, so build it only then
-        key_fn = self._key_fn(node, t) if q.full else None
         try:
-            evicted = q.enqueue(packet, key_fn, t)
+            evicted = self.queues[node].enqueue(packet, self._key_fn(node, t), t)
         except traffic_mod.Expired:
             self._drop(packet, node, t, "expired")
             return
@@ -418,11 +416,10 @@ class Simulation:
         if cause != "starved":
             self._tracker(packet.flow).record(False)
 
-    def _candidates(self, t: float, skip=frozenset()) -> tuple[list[sched.PriorityTuple], list[int]]:
+    def _candidates(self, t: float) -> tuple[list[sched.PriorityTuple], list[int]]:
         """Contenders for transmission positions, and the orphans among them
         ascending: alive non-sink nodes with queued data, keyed by their
-        best packet under the active scheme. Nodes in skip are left out of
-        the contenders (not of the orphans), so their queues go unkeyed.
+        best packet under the active scheme.
 
         Under the data scheme sensors report through their nearest in-range
         cluster head; ranking is the shared comparator over all contenders,
@@ -434,8 +431,6 @@ class Simulation:
         holders = [i for i in self._alive() if i < self.bs_ids[0] and len(self.queues[i]) > 0]
         cands: dict[int, sched.Candidate] = {}
         for node in holders:
-            if node in skip:
-                continue
             pi = self.queues[node].best_key(self._key_fn(node, t))
             cands[node] = sched.Candidate(
                 node=node, pi=pi,
@@ -446,12 +441,12 @@ class Simulation:
         if self.scheme == "data":
             chs = [c for c in self.ch_ids if c not in self.dead]
             sensors = [s for s in holders if s < len(self.sensor_ids)]
-            orphans = sched.orphans(sensors, chs, self.graph.has_edge)
+            _, orphans = sched.assign_clusters(sensors, chs, self._position_map(t),
+                                               self.graph.has_edge)
             if orphans and self.orphan_policy == "exclude":
                 excluded = set(orphans)
                 holders = [n for n in holders if n not in excluded]
-        return ([sched.priority_tuple(cands[n], self.net_of[n], self.n1_map)
-                 for n in holders if n not in skip],
+        return ([sched.priority_tuple(cands[n], self.net_of[n], self.n1_map) for n in holders],
                 orphans)
 
     # handlers ---------------------------------------------------------------
@@ -485,7 +480,8 @@ class Simulation:
                 if len(self.queues[holder]) > 0:
                     granted.append((pos[0], pos[1], holder))
         if empty_positions:
-            spare, orphans = self._candidates(t, skip=taken)
+            contenders, orphans = self._candidates(t)
+            spare = [pt for pt in contenders if pt.node not in taken]
             spare.sort(key=sched.tuple_key)
             for pos, pt in zip(empty_positions, spare):
                 transient.append((pos[0], pos[1], pt.node))
@@ -521,7 +517,9 @@ class Simulation:
         q = self.queues[node]
         for p in q.purge_expired(t):
             self._drop(p, node, t, "expired")
-        for p in q.sorted_items(self._key_fn(node, t)):
+        key_fn = self._key_fn(node, t)
+        px, py = self._positions(t)
+        for p in q.sorted_items(key_fn):
             dmap = self.dist_maps.get(p.dst, {})
             hop = traffic_mod.next_hop(self.graph, dmap, node)
             if hop is None:
@@ -530,9 +528,7 @@ class Simulation:
                     q.remove(p)
                     self._drop(p, node, t, "no_route")
                 continue
-            px, py = self._positions(t)
-            if not radio_mod.in_range(self.radio, (px.item(node), py.item(node)),
-                                      (px.item(hop), py.item(hop))):
+            if not radio_mod.in_range(self.radio, (px[node], py[node]), (px[hop], py[hop])):
                 # edge vanished since the frame-start grant: one retry, then drop
                 p.retries += 1
                 if p.retries > 1:
@@ -641,7 +637,7 @@ class Simulation:
             imp = fl.importance_override
         else:
             px, py = self._positions(t)
-            src_xy = (px.item(fl.src), py.item(fl.src))
+            src_xy = (px[fl.src], py[fl.src])
             if any(sched.in_disc(src_xy, (x, y), r) for x, y, r in self.active_events):
                 imp = self.streams["importance"].uniform(0.8, 1.0)
             else:
@@ -659,10 +655,12 @@ class Simulation:
     def run_until(self, t_end: float) -> list[dict]:
         """Process every pending event with time <= t_end, in (time, seq)
         order; returns the trace so far."""
-        queue, heap, handlers = self.queue, self.queue._heap, self._HANDLERS
-        while heap and heap[0].time <= t_end:
-            event = queue.pop()
-            handlers[event.kind](self, event)
+        while len(self.queue) > 0:
+            nxt = self.queue.peek_time()
+            if nxt > t_end:
+                break
+            event = self.queue.pop()
+            self._HANDLERS[event.kind](self, event)
         return self.trace
 
     def run(self) -> list[dict]:

@@ -132,16 +132,19 @@ class MobilityField:
         time to next_tick."""
         now, t = self.last_tick, self.next_tick
         # nodes whose pause expired by the start of this window get a new leg
-        for i in self.needs_leg.nonzero()[0].tolist():
-            if self.pause_until[i] <= now:
-                self._new_leg(i)
+        if self.needs_leg.any():
+            for i in np.flatnonzero(self.needs_leg):
+                if self.pause_until[i] <= now:
+                    self._new_leg(i)
         t_arr = _kernels.step_waypoints(
             self.px, self.py, self.wx, self.wy, self.speed, self.pause_until, now, t - now
         )
-        for i in (t_arr >= 0.0).nonzero()[0].tolist():
-            if not self.needs_leg[i]:
-                self.pause_until[i] = t_arr[i] + self.pause_time
-                self.needs_leg[i] = True
+        arrived = t_arr >= 0.0
+        if arrived.any():
+            for i in np.flatnonzero(arrived):
+                if not self.needs_leg[i]:
+                    self.pause_until[i] = t_arr[i] + self.pause_time
+                    self.needs_leg[i] = True
         self.last_tick = t
         self.next_tick = t + self.interval
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -215,28 +214,13 @@ def candidate_pairs(px: np.ndarray, py: np.ndarray, reach: float) -> tuple[np.nd
     return order.repeat(5).repeat(size), order[j]
 
 
-# Up to this many nodes, build_graph tests every pair: below it the cell
-# grid's own numpy calls cost more than the pairs they spare.
-DENSE_PAIRS_MAX = 64
-
-
-@lru_cache(maxsize=DENSE_PAIRS_MAX + 1)
-def _all_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every index pair (i, j), i < j, of n points; read-only, as it is shared."""
-    pairs = np.triu_indices(n, 1)
-    for a in pairs:
-        a.flags.writeable = False
-    return pairs
-
-
 def build_graph(ids, px: np.ndarray, py: np.ndarray, params: RadioParams) -> ConnectivityGraph:
     """Connectivity graph over the given nodes at the given positions.
 
     ids[i] is the node id whose position is (px[i], py[i]). An edge exists
     exactly when link power meets the reception threshold; the relation is
-    symmetric by construction. Every pair of a small layout, else only the
-    candidate pairs of the cell grid, is tested with the same expression as
-    received_power and in_range.
+    symmetric by construction. Only the candidate pairs of the cell grid are
+    tested, with the same expression as received_power and in_range.
     """
     ids = np.asarray(ids, dtype=np.int64)
     by_id = np.argsort(ids, kind="stable")
@@ -244,10 +228,7 @@ def build_graph(ids, px: np.ndarray, py: np.ndarray, params: RadioParams) -> Con
     px = np.asarray(px, dtype=float)[by_id]
     py = np.asarray(py, dtype=float)[by_id]
     n = len(ids)
-    if n <= DENSE_PAIRS_MAX:
-        i, j = _all_pairs(n)
-    else:
-        i, j = candidate_pairs(px, py, range_for_threshold(params) * (1.0 + 1e-9))
+    i, j = candidate_pairs(px, py, range_for_threshold(params) * (1.0 + 1e-9))
     dx = px[i] - px[j]
     dy = py[i] - py[j]
     d = np.maximum(np.sqrt(dx * dx + dy * dy), EPS_DISTANCE)

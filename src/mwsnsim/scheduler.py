@@ -293,12 +293,6 @@ def assign_clusters(sensors, cluster_heads, positions, reach) -> tuple[dict[int,
     return reports, orphans
 
 
-def orphans(sensors, cluster_heads, reach) -> list[int]:
-    """The orphans of assign_clusters, ascending: sensors with no cluster
-    head in range, found without choosing each other sensor's head."""
-    return [s for s in sorted(sensors) if not any(reach(s, ch) for ch in cluster_heads)]
-
-
 def global_importance_ranking(cluster_reports: dict[int, list[Candidate]]) -> list[Candidate]:
     """Merge per-cluster-head candidate lists into one global order.
 

@@ -87,16 +87,10 @@ class NodeQueue:
     def __iter__(self):
         return iter(self._items)
 
-    @property
-    def full(self) -> bool:
-        return len(self._items) >= self.capacity
-
     def enqueue(self, packet: Packet, key_fn, now: float) -> Packet | None:
         """Insert packet; returns the evicted packet on overflow, else None.
 
-        key_fn is read only when the queue is full, so a caller may pass
-        None while it is not. Raises Expired when the packet's deadline has
-        already passed.
+        Raises Expired when the packet's deadline has already passed.
         """
         if now >= packet.deadline:
             raise Expired(f"packet {packet.id} expired before enqueue")
@@ -120,7 +114,7 @@ class NodeQueue:
         """Smallest key in the queue, or None when empty."""
         if not self._items:
             return None
-        return min(map(key_fn, self._items))
+        return min(key_fn(p) for p in self._items)
 
     def remove(self, packet: Packet) -> None:
         self._items.remove(packet)

@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mwsnsim
-from mwsnsim import _kernels, radio
+from mwsnsim import _kernels
 from mwsnsim.radio import (
     EPS_DISTANCE,
     RadioParams,
@@ -215,7 +214,9 @@ def _layouts(draw):
     return ids, np.array(px, dtype=float), np.array(py, dtype=float), _params(rx_threshold=thr)
 
 
-def _check_graph_equals_dense_rule(layout):
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_layouts())
+def test_graph_edges_equal_dense_rule(layout):
     ids, px, py, p = layout
     g = build_graph(ids, px, py, p)
     expected = _dense_edges(ids, px, py, p)
@@ -230,35 +231,18 @@ def _check_graph_equals_dense_rule(layout):
     assert not g.has_edge(-1, ids[0] if ids else 0)
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(_layouts())
-def test_graph_edges_equal_dense_rule(layout):
-    _check_graph_equals_dense_rule(layout)
-
-
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(_layouts())
-def test_graph_edges_equal_dense_rule_through_cell_grid(layout):
-    """The same layouts with the all-pairs shortcut off, so every one goes
-    through the cell grid's candidate pairs."""
-    with mock.patch.object(radio, "DENSE_PAIRS_MAX", -1):
-        _check_graph_equals_dense_rule(layout)
-
-
 def test_pairs_at_the_range_are_found_across_cell_boundaries():
     """A pair exactly one range apart is found wherever it sits against the
-    cell boundaries, including a hair below one. Three nodes would take the
-    all-pairs shortcut, so it is switched off."""
+    cell boundaries, including a hair below one."""
     nominal = 250.0
     p = _params(rx_threshold=threshold_for_range(_params(), nominal))
     found = 0
-    with mock.patch.object(radio, "DENSE_PAIRS_MAX", -1):
-        for f in np.linspace(-5e-9, 5e-9, 101):
-            a = 3.0 * nominal * (1.0 + f)
-            px = np.array([0.0, a, a + nominal])
-            g = build_graph([0, 1, 2], px, np.zeros(3), p)
-            assert set(g.edges()) == _dense_edges([0, 1, 2], px, np.zeros(3), p), f
-            found += g.has_edge(1, 2)
+    for f in np.linspace(-5e-9, 5e-9, 101):
+        a = 3.0 * nominal * (1.0 + f)
+        px = np.array([0.0, a, a + nominal])
+        g = build_graph([0, 1, 2], px, np.zeros(3), p)
+        assert set(g.edges()) == _dense_edges([0, 1, 2], px, np.zeros(3), p), f
+        found += g.has_edge(1, 2)
     assert found > 0
 
 

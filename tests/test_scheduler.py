@@ -5,8 +5,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from helpers import assigned_nodes, rank_candidates
 from mwsnsim.mobility import MobilityClass
@@ -30,7 +28,6 @@ from mwsnsim.scheduler import (
     in_disc,
     nearest,
     network_priority,
-    orphans,
     pdr_gate,
     priority_tuple,
     tuple_key,
@@ -416,15 +413,6 @@ def test_assign_clusters_flags_orphans():
     reports, orphans = assign_clusters([0], [10], positions, reach)
     assert orphans == [0]
     assert reports == {10: []}
-
-
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(st.lists(st.integers(0, 9), unique=True), st.lists(st.integers(10, 14), unique=True),
-       st.sets(st.tuples(st.integers(0, 9), st.integers(10, 14))))
-def test_orphans_are_those_of_assign_clusters(sensors, heads, links):
-    positions = {node: (float(node), 0.0) for node in range(15)}
-    reach = lambda a, b: (a, b) in links
-    assert orphans(sensors, heads, reach) == assign_clusters(sensors, heads, positions, reach)[1]
 
 
 def test_cross_cluster_best_importance_wins():
