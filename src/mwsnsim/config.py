@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import io
+import math
 from typing import Any
 
 import yaml
@@ -123,7 +124,8 @@ def _require(cond: bool, field: str, message: str) -> None:
 
 
 def _is_num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite int or float (YAML's .inf and .nan are not numbers here)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
 class ScenarioConfig:
@@ -247,7 +249,7 @@ def _validate(d: dict[str, Any]) -> dict[str, Any]:
     m = d["mobility"]
     _require(_is_num(m["tick_interval"]) and m["tick_interval"] > 0,
              "mobility.tick_interval", "must be positive")
-    _require(0 < m["speed_min"] <= m["speed_max"],
+    _require(_is_num(m["speed_max"]) and 0 < m["speed_min"] <= m["speed_max"],
              "mobility.speed_min", "need 0 < speed_min <= speed_max")
     _require(_is_num(m["pause_time"]) and m["pause_time"] >= 0,
              "mobility.pause_time", "must be non-negative")

@@ -73,6 +73,18 @@ def test_repeated_flow_id_rejected(flows):
     assert err.value.field == "flows[1].id"
 
 
+@pytest.mark.parametrize("doc, field", [
+    ("terrain_area: {width: .inf}", "terrain_area.width"),
+    ("session_duration: .inf", "session_duration"),
+    ("mobility: {speed_max: .inf}", "mobility.speed_min"),
+    ("radio: {nominal_range: .nan}", "radio.nominal_range"),
+])
+def test_non_finite_number_rejected(doc, field):
+    with pytest.raises(ValidationError) as err:
+        loads_config(doc)
+    assert err.value.field == field
+
+
 def test_malformed_yaml_is_parse_error():
     with pytest.raises(ParseError):
         loads_config("{nodes: [unclosed")
