@@ -4,8 +4,9 @@ Hashes (sha256) the canonical JSONL trace, `engine.trace_to_jsonl`, of every
 run of a fixed set: seeds 1-20 x both schemes on ten 22-40-node scenarios,
 plus 1000 nodes at the stock 250 m range for 20 s, seeds 1-2 x both schemes.
 The `mwsnsim` package is imported from --src. One line per run is printed:
-the run, its trace hash, and one `kind:hash` pair per record kind (the hash
-of that kind's lines alone):
+the run, its trace hash, one `kind:hash` pair per record kind (the hash of
+that kind's lines alone), then `|` and the run's totals: final deliveries
+(`rx` records with `fin` 1) and drops by cause:
 
     python benchmarks/trace_identity.py --src /path/to/src
 
@@ -13,7 +14,8 @@ With --against, the same set is also hashed under a second tree, in a
 separate process running alongside; each run whose hash differs, or that
 only one tree produced, is printed with the record kinds (`hdr`, `tx`,
 `end`, ...) whose lines differ, and the exit status is 1 when there is any
-such run:
+such run. When any run differs, the totals of every scenario and scheme,
+summed over its seeds, are printed for both trees:
 
     python benchmarks/trace_identity.py --against /path/to/parent/src
 """
@@ -25,6 +27,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from collections import Counter
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 CONFIG_DIR = os.path.join(HERE, "..", "configs")
@@ -80,8 +83,8 @@ RUN_SET = {
                         "radio": {"nominal_range": 400.0}}, range(1, 21)),
     "four_sinks": (FOUR_SINKS, range(1, 21)),
     "two_networks": (TWO_NETWORKS, range(1, 21)),
-    # ticks every 0.25 s fall exactly on the 0.5 s frame boundaries
-    "tick_025": ({"mobility": {"tick_interval": 0.25}}, range(1, 21)),
+    # with no pause, each leg starts at the instant the last one arrives
+    "pause_0": ({"mobility": {"pause_time": 0.0}}, range(1, 21)),
     "fleet1000": ({"node_count": 1000, "session_duration": 20.0}, range(1, 3)),
 }
 
@@ -90,9 +93,17 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def totals(trace: list[dict]) -> Counter:
+    """Final deliveries and drops by cause of one run."""
+    out = Counter(f"drop.{rec['c']}" for rec in trace if rec["k"] == "drop")
+    out["delivered"] = sum(1 for rec in trace if rec["k"] == "rx" and rec["fin"] == 1)
+    return out
+
+
 def trace_hashes(src: str):
     """Yield (run name, sha256 of its trace, {record kind: sha256 of that
-    kind's lines}) for every run, importing mwsnsim from the src tree."""
+    kind's lines}, totals) for every run, importing mwsnsim from the src
+    tree."""
     sys.path.insert(0, os.path.abspath(src))
     from mwsnsim.config import load_config, validate_config
     from mwsnsim.engine import Simulation, trace_to_jsonl
@@ -108,7 +119,17 @@ def trace_hashes(src: str):
                 for rec, line in zip(trace, text.splitlines(keepends=True)):
                     by_kind.setdefault(rec["k"], []).append(line)
                 yield (f"{name}/s{seed}/{scheme}", _sha256(text),
-                       {k: _sha256("".join(lines)) for k, lines in by_kind.items()})
+                       {k: _sha256("".join(lines)) for k, lines in by_kind.items()},
+                       totals(trace))
+
+
+def _group_totals(runs: dict) -> dict[str, Counter]:
+    """Totals summed per scenario and scheme (`stock/mdlps`) over seeds."""
+    out: dict[str, Counter] = {}
+    for run, (_, _, counts) in runs.items():
+        name, _, scheme = run.split("/")
+        out.setdefault(f"{name}/{scheme}", Counter()).update(counts)
+    return out
 
 
 def main() -> int:
@@ -118,12 +139,13 @@ def main() -> int:
     ap.add_argument("--against", help="second source tree to compare every hash with")
     args = ap.parse_args()
     if args.against is None:
-        for run, digest, kinds in trace_hashes(args.src):
-            print(run, digest, *(f"{k}:{h}" for k, h in sorted(kinds.items())), flush=True)
+        for run, digest, kinds, counts in trace_hashes(args.src):
+            print(run, digest, *(f"{k}:{h}" for k, h in sorted(kinds.items())), "|",
+                  *(f"{k}={v}" for k, v in sorted(counts.items())), flush=True)
         return 0
     other = subprocess.Popen([sys.executable, os.path.abspath(__file__), "--src", args.against],
                              stdout=subprocess.PIPE, text=True)
-    ours = {run: (digest, kinds) for run, digest, kinds in trace_hashes(args.src)}
+    ours = {run: (digest, kinds, counts) for run, digest, kinds, counts in trace_hashes(args.src)}
     out, _ = other.communicate()
     if other.returncode != 0:
         print(f"hashing under {args.against} failed with status {other.returncode}",
@@ -131,15 +153,23 @@ def main() -> int:
         return 1
     theirs = {}
     for line in out.splitlines():
-        run, digest, *pairs = line.split()
-        theirs[run] = (digest, dict(pair.split(":") for pair in pairs))
-    missing = ("-", {})
+        fields, _, counts = line.partition(" | ")
+        run, digest, *pairs = fields.split()
+        theirs[run] = (digest, dict(pair.split(":") for pair in pairs),
+                       Counter({k: int(v) for k, v in (c.split("=") for c in counts.split())}))
+    missing = ("-", {}, Counter())
     differ = sorted(run for run in ours.keys() | theirs.keys()
                     if ours.get(run, missing)[0] != theirs.get(run, missing)[0])
     for run in differ:
-        (a, ak), (b, bk) = ours.get(run, missing), theirs.get(run, missing)
+        (a, ak, _), (b, bk, _) = ours.get(run, missing), theirs.get(run, missing)
         kinds = ",".join(sorted(k for k in ak.keys() | bk.keys() if ak.get(k) != bk.get(k)))
         print(f"DIFFERS {run}: {a} (--src) {b} (--against) kinds {kinds}")
+    if differ:
+        ours_totals, theirs_totals = _group_totals(ours), _group_totals(theirs)
+        for group in sorted(ours_totals.keys() | theirs_totals.keys()):
+            a, b = ours_totals.get(group, Counter()), theirs_totals.get(group, Counter())
+            print(f"TOTALS {group} (--against -> --src):",
+                  ", ".join(f"{k} {b[k]} -> {a[k]}" for k in sorted(a.keys() | b.keys())))
     print(f"{len(ours)} runs under --src, {len(theirs)} under --against, {len(differ)} differ")
     return 1 if differ else 0
 

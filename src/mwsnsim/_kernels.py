@@ -1,9 +1,10 @@
-"""Numeric kernels: waypoint fleet stepping and all-pairs link power.
+"""Numeric kernels: fleet positions on waypoint legs and all-pairs link
+power.
 
-The engine steps the fleet with step_waypoints. It no longer calls
-pair_power: radio.build_graph tests only the pairs its cell grid yields, and
-the dense power matrix stays as the reference the graph tests compare
-against. Both kernels are plain numpy.
+`MobilityField.positions_at` evaluates the fleet with step_waypoints. The
+engine no longer calls pair_power: radio.build_graph tests only the pairs
+its cell grid yields, and the dense power matrix stays as the reference the
+graph tests compare against. Both kernels are plain numpy.
 """
 
 import numpy as np
@@ -11,32 +12,15 @@ import numpy as np
 BACKEND = "numpy"
 
 
-def step_waypoints(px, py, wx, wy, speed, pause_until, now, dt):
-    """Advance every node min(speed*dt, dist-to-waypoint) toward its waypoint.
+def step_waypoints(t0, x0, y0, wx, wy, rate, t):
+    """Closed-form positions at time t of nodes on straight legs.
 
-    Positions are updated in place. Nodes with now < pause_until do not move.
-    Returns arrival times: t_arr[i] = now + dist/speed for nodes that reach
-    their waypoint during this step, -1.0 elsewhere.
+    Node i left (x0[i], y0[i]) at t0[i] toward (wx[i], wy[i]) and covers the
+    fraction rate[i] of its leg per second; it stops at the waypoint.
+    Returns (px, py) = start + (waypoint - start) * min((t - t0) * rate, 1).
     """
-    n = px.shape[0]
-    t_arr = np.full(n, -1.0)
-    moving = pause_until <= now
-    dx = wx - px
-    dy = wy - py
-    dist = np.sqrt(dx * dx + dy * dy)
-    adv = speed * dt
-    arrive = moving & (adv >= dist)
-    partial = moving & ~arrive
-    with np.errstate(invalid="ignore", divide="ignore"):
-        frac = np.where(dist > 0.0, adv / dist, 0.0)
-    px[partial] += dx[partial] * frac[partial]
-    py[partial] += dy[partial] * frac[partial]
-    px[arrive] = wx[arrive]
-    py[arrive] = wy[arrive]
-    # within the arrive mask, dist > 0 implies speed > 0 (adv >= dist > 0)
-    safe_speed = np.where(speed > 0.0, speed, 1.0)
-    t_arr[arrive] = now + np.where(dist[arrive] > 0.0, dist[arrive] / safe_speed[arrive], 0.0)
-    return t_arr
+    f = np.minimum((t - t0) * rate, 1.0)
+    return x0 + (wx - x0) * f, y0 + (wy - y0) * f
 
 
 def pair_power(px, py, d_c, friis_coef, tworay_coef, eps):

@@ -72,7 +72,6 @@ DEFAULTS: dict[str, Any] = {
         "level_penalty": 0.25,
     },
     "mobility": {
-        "tick_interval": 0.1,
         "speed_min": 1.0,
         "speed_max": 20.0,
         "pause_time": 2.0,
@@ -247,8 +246,6 @@ def _validate(d: dict[str, Any]) -> dict[str, Any]:
              "energy.level_penalty", "must be non-negative")
 
     m = d["mobility"]
-    _require(_is_num(m["tick_interval"]) and m["tick_interval"] > 0,
-             "mobility.tick_interval", "must be positive")
     _require(_is_num(m["speed_max"]) and 0 < m["speed_min"] <= m["speed_max"],
              "mobility.speed_min", "need 0 < speed_min <= speed_max")
     _require(_is_num(m["pause_time"]) and m["pause_time"] >= 0,

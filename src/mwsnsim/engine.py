@@ -1,11 +1,11 @@
 """Deterministic discrete-event core and the simulation run loop.
 
 The engine owns a virtual clock, a (time, sequence)-ordered event queue and
-one seeded random stream per purpose, all derived from a single master seed
-so adding a consumer never perturbs existing draw sequences. A Simulation
-wires the mobility, radio, energy, scheduling and traffic planes together
-and replays identically for identical configuration and seed: the trace it
-produces is byte-stable.
+one seeded random stream per purpose (per node for mobility), all derived
+from a single master seed so adding a consumer never perturbs existing draw
+sequences. A Simulation wires the mobility, radio, energy, scheduling and
+traffic planes together and replays identically for identical configuration
+and seed: the trace it produces is byte-stable.
 """
 
 from __future__ import annotations
@@ -92,13 +92,15 @@ _PURPOSES = ("mobility", "placement", "traffic", "importance")
 
 
 class RandomStream:
-    """Seeded uniform stream for one purpose; counts its draws."""
+    """Seeded uniform stream for one purpose, or for one node's share of it
+    (the child key (purpose, node)); counts its draws."""
 
-    def __init__(self, seed: int, purpose: str):
+    def __init__(self, seed: int, purpose: str, node: int | None = None):
         if purpose not in _PURPOSES:
             raise ValueError(f"unknown stream purpose {purpose!r}")
         self.draws = 0
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(_PURPOSES.index(purpose),))
+        key = (_PURPOSES.index(purpose),) if node is None else (_PURPOSES.index(purpose), node)
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=key)
         self._gen = np.random.default_rng(ss)
 
     def uniform(self, a: float, b: float) -> float:
@@ -121,14 +123,19 @@ class RandomStream:
 
 
 class RandomStreams:
-    def __init__(self, seed: int):
-        self._streams = {p: RandomStream(seed, p) for p in _PURPOSES}
+    """A run's streams: one per purpose, but mobility has one per node, so
+    node i's path depends on the seed and i alone."""
+
+    def __init__(self, seed: int, n_nodes: int):
+        self._streams = {p: RandomStream(seed, p) for p in _PURPOSES if p != "mobility"}
+        self.mobility = [RandomStream(seed, "mobility", i) for i in range(n_nodes)]
 
     def __getitem__(self, purpose: str) -> RandomStream:
         return self._streams[purpose]
 
     def draw_counts(self) -> dict[str, int]:
-        return {p: self._streams[p].draws for p in _PURPOSES}
+        return {"mobility": sum(s.draws for s in self.mobility),
+                **{p: s.draws for p, s in self._streams.items()}}
 
 
 def trace_to_jsonl(trace: list[dict]) -> str:
@@ -150,7 +157,7 @@ class Simulation:
         self.scheme = config.scheduler if scheme is None else scheme
         if self.scheme not in ("mdlps", "data"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        self.streams = RandomStreams(self.seed)
+        self.streams = RandomStreams(self.seed, config.node_count)
         self.queue = EventQueue()
         self.trace: list[dict] = []
         self._finalized = False
@@ -212,16 +219,15 @@ class Simulation:
         m = cfg["mobility"]
         self.mob = MobilityField(
             pos, controlled, (w, h),
-            rng=self.streams["mobility"], patrol_rng=placement,
+            rngs=self.streams.mobility, patrol_rng=placement,
             speed_range=(m["speed_min"], m["speed_max"]),
             pause_time=m["pause_time"],
             controlled_speed_cap=m["controlled_speed_cap"],
             patrol_radius=m["patrol_radius"],
-            tick_interval=m["tick_interval"],
         )
         self.class_thresholds = tuple(m["class_thresholds"])
-        # keyed by time alone: a query at t applies only ticks before t, so
-        # no later query at t can see other positions
+        # the fleet's positions at the last instant it was asked for; keyed
+        # by time alone, since positions are a function of time
         self._pos_cache: tuple[float, np.ndarray, np.ndarray] | None = None
 
     def _build_radio(self) -> None:
@@ -518,7 +524,6 @@ class Simulation:
         for p in q.purge_expired(t):
             self._drop(p, node, t, "expired")
         key_fn = self._key_fn(node, t)
-        px, py = self._positions(t)
         for p in q.sorted_items(key_fn):
             dmap = self.dist_maps.get(p.dst, {})
             hop = traffic_mod.next_hop(self.graph, dmap, node)
@@ -528,7 +533,8 @@ class Simulation:
                     q.remove(p)
                     self._drop(p, node, t, "no_route")
                 continue
-            if not radio_mod.in_range(self.radio, (px[node], py[node]), (px[hop], py[hop])):
+            if not radio_mod.in_range(self.radio, self.mob.position_of(node, t),
+                                      self.mob.position_of(hop, t)):
                 # edge vanished since the frame-start grant: one retry, then drop
                 p.retries += 1
                 if p.retries > 1:
@@ -636,8 +642,7 @@ class Simulation:
         if fl.importance_override is not None:
             imp = fl.importance_override
         else:
-            px, py = self._positions(t)
-            src_xy = (px[fl.src], py[fl.src])
+            src_xy = self.mob.position_of(fl.src, t)
             if any(sched.in_disc(src_xy, (x, y), r) for x, y, r in self.active_events):
                 imp = self.streams["importance"].uniform(0.8, 1.0)
             else:
@@ -670,9 +675,9 @@ class Simulation:
         self._finalized = True
         t_end = self.cfg.session_duration
         self.run_until(t_end)
-        # the fleet's ticks up to and including the session end, so the
-        # mobility stream's draw count covers the whole session
-        self.mob.advance(math.nextafter(t_end, math.inf))
+        # every leg that starts by the session end, so the mobility draw
+        # count does not depend on which nodes the run asked about
+        self.mob.tick(t_end)
         # packets still on the air when the session closes count as starved
         for event in sorted(self.queue._heap):
             if event.kind is EventKind.PACKET_DELIVERED:

@@ -3,12 +3,14 @@ the three-level speed classification taken at critical-event time.
 
 Sensors roam the whole terrain (uncontrolled regime); cluster heads and base
 stations cycle a small fixed patrol loop at a capped speed (controlled
-regime). `MobilityField` holds the one waypoint rule.
+regime). `MobilityField` holds the one waypoint rule, in continuous time.
 """
 
 from __future__ import annotations
 
+import math
 from enum import IntEnum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,22 +49,44 @@ def snapshot_classes(speeds: dict[int, float], thresholds: tuple[float, float]) 
     return {node: classify_mobility(v, thresholds) for node, v in sorted(speeds.items())}
 
 
+class Leg(NamedTuple):
+    """One straight move: from (x0, y0) at t0 toward (wx, wy) at `speed`.
+
+    `rate` is the fraction of the leg covered per second (0 for a leg of
+    length 0), and the node arrives at `t_arr`."""
+
+    t0: float
+    x0: float
+    y0: float
+    wx: float
+    wy: float
+    speed: float
+    rate: float
+    t_arr: float
+
+
+def make_leg(t0: float, x0: float, y0: float, wx: float, wy: float, speed: float) -> Leg:
+    """The leg from (x0, y0) to (wx, wy) at `speed` that starts at t0."""
+    length = math.hypot(wx - x0, wy - y0)
+    rate, t_arr = (speed / length, t0 + length / speed) if length else (0.0, t0)
+    return Leg(t0, x0, y0, wx, wy, speed, rate, t_arr)
+
+
 class MobilityField:
-    """Kinematic state for the whole fleet: random-waypoint motion stepped
-    in bulk by `_kernels.step_waypoints` and interpolated between ticks.
+    """Continuous-time random-waypoint motion of the whole fleet (Camp,
+    Boleng & Davies, WCMC 2002), with no time grid.
 
-    The field keeps its own clock. Ticks fall at tick_interval,
-    tick_interval + tick_interval, ... (times accumulate by repeated
-    addition), and every query at time t first applies the ticks strictly
-    before t. A query at t therefore never sees a tick at t, and positions
-    and speeds are a pure function of t for queries at non-decreasing times.
+    Each node is on one `Leg` at a time. Its position at t is
+    start + (waypoint - start) * min((t - t0) * speed / L, 1), its speed is
+    0 from t_arr = t0 + L / speed on, and its next leg starts exactly at
+    t_arr + pause_time, from the waypoint it reached. Node i draws its legs
+    from its own stream rngs[i], so its path depends on the seed and i alone,
+    never on query order or on which other nodes were asked about.
 
-    A node that reaches its waypoint at t_arr pauses until t_arr +
-    pause_time. Its next leg is drawn at the first tick whose window starts
-    (the previous tick) at or after that pause end, and the leg's motion
-    counts from the window start. Draws within a tick come in ascending node
-    id, so a given mobility stream seed reproduces identical paths
-    regardless of what the rest of the simulation does.
+    Legs are drawn lazily: a query for one node at t first draws that node's
+    legs that start at or before t, and `tick(t)` does so for every node.
+    The current legs are the rows of `legs`, one `Leg` per row. A query at a
+    time before a node's current leg started raises ValueError.
     """
 
     def __init__(
@@ -70,109 +94,92 @@ class MobilityField:
         positions: np.ndarray,
         controlled: np.ndarray,
         terrain: tuple[float, float],
-        rng,
+        rngs,
         patrol_rng,
         speed_range: tuple[float, float] = (1.0, 20.0),
         pause_time: float = 2.0,
         controlled_speed_cap: float = 2.0,
         patrol_radius: float = 200.0,
-        tick_interval: float = 0.1,
     ):
-        n = positions.shape[0]
-        self.n = n
+        self.n = n = len(positions)
         self.terrain = terrain
-        self.rng = rng
+        self.rngs = rngs
         self.speed_range = speed_range
         self.pause_time = pause_time
         self.controlled_speed_cap = controlled_speed_cap
-        self.px = positions[:, 0].astype(np.float64).copy()
-        self.py = positions[:, 1].astype(np.float64).copy()
-        self.controlled = controlled.astype(bool).copy()
-        self.wx = np.zeros(n)
-        self.wy = np.zeros(n)
-        self.speed = np.zeros(n)
-        self.pause_until = np.full(n, -1.0)
-        self.needs_leg = np.zeros(n, dtype=bool)
-        self.interval = tick_interval
-        self.last_tick = 0.0
-        self.next_tick = tick_interval
-        # fixed patrol loops for controlled nodes, drawn once near the start point
+        # fixed patrol loops for controlled nodes, drawn once near the start
+        # point; the head of a loop is the node's next patrol point
         self.patrol: dict[int, list[tuple[float, float]]] = {}
-        self.patrol_idx: dict[int, int] = {}
-        for i in range(n):
-            if self.controlled[i]:
+        starts = positions.tolist()
+        for i, (x, y) in enumerate(starts):
+            if controlled[i]:
                 pts = []
                 for _ in range(4):
                     ox = patrol_rng.uniform(-patrol_radius, patrol_radius)
                     oy = patrol_rng.uniform(-patrol_radius, patrol_radius)
-                    pts.append((
-                        min(max(self.px[i] + ox, 0.0), terrain[0]),
-                        min(max(self.py[i] + oy, 0.0), terrain[1]),
-                    ))
-                self.patrol[i] = pts
-                self.patrol_idx[i] = 0
-        for i in range(n):
-            self._new_leg(i)
+                    pts.append((min(max(x + ox, 0.0), terrain[0]),
+                                min(max(y + oy, 0.0), terrain[1])))
+                self.patrol[i] = pts[:1] if len(set(pts)) == 1 else pts
+        self.legs = np.empty((n, len(Leg._fields)))
+        for i, (x, y) in enumerate(starts):
+            self._start_leg(i, 0.0, x, y)
 
-    def _new_leg(self, i: int) -> None:
-        if self.controlled[i]:
-            pts = self.patrol[i]
-            idx = self.patrol_idx[i]
-            self.wx[i], self.wy[i] = pts[idx]
-            self.patrol_idx[i] = (idx + 1) % len(pts)
-            self.speed[i] = self.rng.uniform(self.controlled_speed_cap / 2.0, self.controlled_speed_cap)
+    def _start_leg(self, i: int, t0: float, x0: float, y0: float) -> Leg:
+        """Draw node i's leg that starts at t0 from (x0, y0)."""
+        rng = self.rngs[i]
+        pts = self.patrol.get(i)
+        if pts is None:
+            wx = rng.uniform(0.0, self.terrain[0])
+            wy = rng.uniform(0.0, self.terrain[1])
+            leg = make_leg(t0, x0, y0, wx, wy, rng.uniform(*self.speed_range))
+        elif len(pts) == 1 and (x0, y0) == pts[0]:
+            # a one-point patrol loop: the node parks there for good, and
+            # with no pause would otherwise draw zero-length legs forever
+            leg = Leg(t0, x0, y0, x0, y0, 0.0, 0.0, math.inf)
         else:
-            self.wx[i] = self.rng.uniform(0.0, self.terrain[0])
-            self.wy[i] = self.rng.uniform(0.0, self.terrain[1])
-            self.speed[i] = self.rng.uniform(*self.speed_range)
-        self.needs_leg[i] = False
+            pts.append(pts.pop(0))
+            speed = rng.uniform(self.controlled_speed_cap / 2.0, self.controlled_speed_cap)
+            leg = make_leg(t0, x0, y0, *pts[-1], speed)
+        self.legs[i] = leg
+        return leg
 
-    def tick(self) -> None:
-        """Apply the next tick: advance the fleet from the previous tick
-        time to next_tick."""
-        now, t = self.last_tick, self.next_tick
-        # nodes whose pause expired by the start of this window get a new leg
-        if self.needs_leg.any():
-            for i in np.flatnonzero(self.needs_leg):
-                if self.pause_until[i] <= now:
-                    self._new_leg(i)
-        t_arr = _kernels.step_waypoints(
-            self.px, self.py, self.wx, self.wy, self.speed, self.pause_until, now, t - now
-        )
-        arrived = t_arr >= 0.0
-        if arrived.any():
-            for i in np.flatnonzero(arrived):
-                if not self.needs_leg[i]:
-                    self.pause_until[i] = t_arr[i] + self.pause_time
-                    self.needs_leg[i] = True
-        self.last_tick = t
-        self.next_tick = t + self.interval
+    def _leg(self, i: int, t: float) -> Leg:
+        """Node i's leg at time t, after drawing its legs that start at or
+        before t."""
+        if not (0 <= i < self.n):
+            raise UnknownNode(f"no node {i}")
+        leg = Leg._make(self.legs[i].tolist())
+        if t < leg.t0:
+            raise ValueError(f"query at {t} precedes node {i}'s leg from {leg.t0}")
+        while leg.t_arr + self.pause_time <= t:
+            leg = self._start_leg(i, leg.t_arr + self.pause_time, leg.wx, leg.wy)
+        return leg
 
-    def advance(self, t: float) -> None:
-        """Apply every tick strictly before t."""
-        if t < self.last_tick:
-            raise ValueError(f"query at {t} precedes last tick {self.last_tick}")
-        while self.next_tick < t:
-            self.tick()
+    def tick(self, t: float) -> None:
+        """Draw every node's legs that start at or before t."""
+        t0, *_, t_arr = self.legs.T
+        if t < t0.max():
+            raise ValueError(f"query at {t} precedes a node's current leg")
+        for i in np.flatnonzero(t_arr + self.pause_time <= t).tolist():
+            self._leg(i, t)
+
+    def position_of(self, i: int, t: float) -> tuple[float, float]:
+        """Position of node i at time t, bit for bit `positions_at(t)[i]`."""
+        t0, x0, y0, wx, wy, _, rate, _ = self._leg(i, t)
+        f = min((t - t0) * rate, 1.0)
+        return x0 + (wx - x0) * f, y0 + (wy - y0) * f
 
     def positions_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Positions of all nodes at time t, interpolated from the last tick
-        before t."""
-        self.advance(t)
-        px = self.px.copy()
-        py = self.py.copy()
-        dt = t - self.last_tick
-        if dt > 0:
-            _kernels.step_waypoints(px, py, self.wx, self.wy, self.speed, self.pause_until, self.last_tick, dt)
-        return px, py
+        """Positions of all nodes at time t."""
+        self.tick(t)
+        t0, x0, y0, wx, wy, _, rate, _ = self.legs.T
+        return _kernels.step_waypoints(t0, x0, y0, wx, wy, rate, t)
 
     def instantaneous_speed(self, node: int, t: float) -> float:
-        if not (0 <= node < self.n):
-            raise UnknownNode(f"no node {node}")
-        self.advance(t)
-        if self.needs_leg[node] or self.pause_until[node] > t:
-            return 0.0
-        return float(self.speed[node])
+        leg = self._leg(node, t)
+        return 0.0 if t >= leg.t_arr else leg.speed
 
     def speeds_at(self, t: float) -> dict[int, float]:
-        return {i: self.instantaneous_speed(i, t) for i in range(self.n)}
+        self.tick(t)
+        *_, speed, _, t_arr = self.legs.T
+        return dict(enumerate(np.where(t >= t_arr, 0.0, speed).tolist()))

@@ -1,5 +1,6 @@
 """Event queue, random streams, and whole-run engine contracts."""
 
+import numpy as np
 import pytest
 
 from mwsnsim import metrics
@@ -16,6 +17,7 @@ from mwsnsim.engine import (
     trace_from_jsonl,
     trace_to_jsonl,
 )
+from mwsnsim.mobility import MobilityField
 
 
 def test_schedule_single_event_is_head():
@@ -86,15 +88,30 @@ def test_sample_is_distinct_and_bounded():
 
 
 def test_purpose_streams_are_independent():
-    """Drawing from one purpose must not perturb another purpose's sequence."""
-    fresh = RandomStreams(11)
+    """Drawing from one purpose, or from one node's mobility stream, must not
+    perturb another stream's sequence."""
+    fresh = RandomStreams(11, 3)
     expected = [fresh["placement"].uniform(0, 1) for _ in range(5)]
-    mixed = RandomStreams(11)
+    expected_node = [fresh.mobility[2].uniform(0, 1) for _ in range(5)]
+    mixed = RandomStreams(11, 3)
     for _ in range(17):
-        mixed["mobility"].uniform(0, 1)
+        mixed.mobility[1].uniform(0, 1)
         mixed["traffic"].uniform(0, 1)
     got = [mixed["placement"].uniform(0, 1) for _ in range(5)]
     assert got == expected
+    assert [mixed.mobility[2].uniform(0, 1) for _ in range(5)] == expected_node
+    assert mixed.draw_counts() == {"mobility": 22, "placement": 5, "traffic": 17,
+                                   "importance": 0}
+
+
+def test_node_mobility_stream_is_child_of_mobility_key():
+    """Node i's mobility stream is SeedSequence(seed, spawn_key=(0, i)): a
+    child of the mobility purpose, whose index in the purposes is 0."""
+    ss = np.random.SeedSequence(entropy=7, spawn_key=(0, 2))
+    expected = np.random.default_rng(ss).uniform(0.0, 5.0, size=3).tolist()
+    node = RandomStream(7, "mobility", 2)
+    assert [node.uniform(0.0, 5.0) for _ in range(3)] == expected
+    assert RandomStream(7, "mobility").uniform(0.0, 5.0) != expected[0]
 
 
 def _small_cfg(**over):
@@ -325,15 +342,17 @@ def test_node_drained_at_a_boundary_routes_nothing_that_frame(drained_traces):
     """The boundary's idle charge precedes the graph rebuild: no packet is
     sent to a node that was dead when its frame started."""
     for seed, scheme, trace in drained_traces["drained_idle"]:
-        died: dict[int, float] = {}
-        frame_start = 0.0
+        died: set[int] = set()
+        dead_at_frame: set[int] = set()
         for rec in trace:
             if rec["k"] == "dep":
-                died[rec["n"]] = rec["t"]
+                died.add(rec["n"])
             elif rec["k"] == "frame":
-                frame_start = rec["t"]
-            elif rec["k"] == "tx" and rec["v"] in died:
-                assert died[rec["v"]] > frame_start, (seed, scheme, rec)
+                # record order, not equal times: a node can die from its own
+                # slot-0 tx after the frame record at the same instant
+                dead_at_frame = set(died)
+            elif rec["k"] == "tx":
+                assert rec["v"] not in dead_at_frame, (seed, scheme, rec)
 
 
 def test_packet_in_flight_at_session_end_is_starved():
@@ -356,6 +375,25 @@ def test_packet_in_flight_at_session_end_is_starved():
     drops = [rec for rec in trace if rec["k"] == "drop"]
     assert len(drops) == 1
     assert drops[0]["c"] == "starved" and drops[0].get("d") == "in_flight"
+
+
+def test_stock_run_asks_for_the_fleet_only_at_boundaries_and_events(monkeypatch):
+    """A stock run evaluates the whole fleet only at set-up, at frame
+    boundaries and at critical events. A slot transmission tests its one
+    link, and packet generation locates its one source, node by node."""
+    calls = []
+    fleet = MobilityField.positions_at
+
+    def counted(self, t):
+        calls.append(t)
+        return fleet(self, t)
+
+    monkeypatch.setattr(MobilityField, "positions_at", counted)
+    trace = Simulation(validate_config({}), seed=2, scheme="mdlps").run()
+    allowed = {0.0} | {rec["t"] for rec in trace if rec["k"] in ("frame", "crit")}
+    assert calls and set(calls) <= allowed
+    # slot instants between boundaries did transmit, so they were asked about
+    assert any(rec["k"] == "tx" and rec["s"] > 0 for rec in trace)
 
 
 def test_reports_route_to_sinks_that_no_flow_uses():

@@ -51,32 +51,32 @@ TWO_NETWORKS = {
 # name -> (config overrides or a file under configs/, seed, scheme, sha256)
 GOLDEN = {
     "stock_mdlps": ({}, 1, "mdlps",
-                    "7ebb1a995b809b3ba50c0e0c75a0578b197d9ea82f8d086dbc02e55747e89980"),
+                    "3b15d11265b089e11cbe773d18b0b9ca5400d8891e7e217b87abb5cba1b0e83f"),
     "stock_data": ({}, 1, "data",
-                   "34f351eab36d8ca11d186745759be8dcce50d1000010de210ef338f27b1638ba"),
+                   "7e8ec5784c709dc7c6d11af3a11425e912f7788e35fd46eab505a9f1a5a8b409"),
     "event_study_mdlps": ("event_study.yaml", 1, "mdlps",
-                          "62cd9a6a8f4bbcb415e243dc2cd6251f9a04a5b76d637d6dcbaddea27e74250b"),
+                          "b08f35e19f0a7eab4964a142bc67706290a491c53c53bfa1fcc4021bf0f557f5"),
     "event_study_data": ("event_study.yaml", 1, "data",
-                         "00e1fe2bd585e0b4f04e24f6255f7ee8350dc17ea897c58aa322c3bc73cf2883"),
+                         "b863acedec45d68a5a937160ad8034b9e4eb7beaeda4d607d390b97185ca5eea"),
     "capacity_10_flows_mdlps": (CAPACITY_ARENA, 1, "mdlps",
-                                "be3c5e47d15f8bc7b4e8167d801ace9fd871cb842112e15ad5f91897d7cae0e3"),
+                                "c1e39088df73ac09470efa9ad2ce2e5e1304fa42282c96235ee6178d2f707252"),
     "orphans_excluded_data": ({"options": {"orphan_policy": "exclude"}}, 1, "data",
-                              "508ad256e780360d7ca8a000f5536dad2a8140d83cb5cb468abe348f71c0d63f"),
+                              "d86c637d0210f17bbfa09b330d75c2d7f902c99d1c4fc3e931059cb24eacf15d"),
     "hard_gate_mdlps": ({"options": {"gate_mode": "drop"},
                          "radio": {"nominal_range": 400.0}}, 1, "mdlps",
-                        "9193b5ccb4789e2bcb55aeb1539cb3becad33bf9b16d11458803e07769fd63c3"),
+                        "7b43cafb5d6af1284fa967c0a53773f88b70260a23405274a46c14788ff05ca0"),
     "fleet_200_data": ({"node_count": 200, "session_duration": 20.0}, 1, "data",
-                       "3eea31f69b0375a64db7b0a793bcbc46e49f6f9b3ddb6f1fdcc61008c6d53ede"),
+                       "4b236659ad9f37407c75381f9bdacac871fcd5d165ee277bbabf5d3be3aa04b4"),
     "four_sinks_mdlps": (FOUR_SINKS, 1, "mdlps",
-                         "e599d9ea9a38db642f9e422c3fb02c1245031f444785976cd10a6582eb6d4dfe"),
+                         "81a47d3228c5a80a33d566c75fe763655efc5cd431174ae4f880fdfa0a73f7a0"),
     "four_sinks_data": (FOUR_SINKS, 1, "data",
-                        "c0e081d2db366ccf4c44cb2a481f629320229df5d4e509a911ea0b746f2f7494"),
+                        "1d2398b3e5f94870b7f8977801c2ba97c388717347b235462a8791b607bb8316"),
     "two_networks_data": (TWO_NETWORKS, 1, "data",
-                          "aeb74b4bfeee1dd66c7c38cab5aa86f6d32a4e10497ccbb3c6ec241a3c4f7984"),
-    # ticks on every frame boundary: the run where a tick at a slot instant
-    # must not count before that instant
-    "tick_025_mdlps": ({"mobility": {"tick_interval": 0.25}}, 9, "mdlps",
-                       "0707cab1a6177183e282e8f1ebe38a2f226353a7617a2cc4e59979aeccda9fa4"),
+                          "f6c5d2f76631207bda4b76049217a8e2fffda3e196c280f9b4ef55e65af7d667"),
+    # no pause: each leg starts at the instant the last one arrives, 13 nodes
+    # start a second leg within the session
+    "pause_0_mdlps": ({"mobility": {"pause_time": 0.0}}, 2, "mdlps",
+                      "f71febbfc0936cb9889d0869121a07ad6680580b35ba547288bdb0e607ab3b86"),
 }
 
 

@@ -23,6 +23,7 @@ from mwsnsim.harness import (
     run_header_text,
     throughput_vs_connections,
 )
+from mwsnsim.mobility import make_leg
 
 
 # configuration ----------------------------------------------------------------
@@ -54,6 +55,10 @@ def test_unknown_field_rejected():
     with pytest.raises(ValidationError) as err:
         validate_config({"node_cout": 5})
     assert err.value.field == "node_cout"
+    # motion has no time grid, so its old step option is unknown too
+    with pytest.raises(ValidationError) as err:
+        validate_config({"mobility": {"tick_interval": 0.1}})
+    assert err.value.field == "mobility.tick_interval"
 
 
 def test_desired_pdr_must_exceed_threshold():
@@ -335,13 +340,11 @@ def test_data_scheme_executes_most_important_node_first():
 def test_mdlps_ignores_importance_for_slow_node():
     cfg = _order_cfg([0.3, 0.3, 1.0])
     sim = Simulation(cfg, seed=1, scheme="mdlps")
-    # node 2 crawls while the others stride: its 1/v term buries it
-    sim.mob.speed[0] = 18.0
-    sim.mob.speed[1] = 18.0
-    sim.mob.speed[2] = 0.05
-    sim.mob.wx[:3] = [101.0, 201.0, 301.0]
-    sim.mob.wy[:3] = 200.0
-    sim.mob.pause_until[:3] = 9.0  # freeze motion; speeds still snapshot
+    # node 2 crawls while the others stride: its 1/v term buries it. No leg
+    # ends within the 8 s session, and every node stays in range of the sink
+    sim.mob.legs[0] = make_leg(0.0, 100.0, 200.0, 100.0, 400.0, 18.0)
+    sim.mob.legs[1] = make_leg(0.0, 200.0, 200.0, 200.0, 400.0, 18.0)
+    sim.mob.legs[2] = make_leg(0.0, 300.0, 200.0, 300.0, 201.0, 0.05)
     trace = sim.run()
     order = metrics.execution_order(trace, 0)
     assert order and order[0] != 2

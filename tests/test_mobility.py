@@ -1,10 +1,12 @@
 """Waypoint kinematics and the three-level speed classification.
 
-The waypoint rule is `MobilityField` stepping the fleet through
-`_kernels.step_waypoints`; these tests check that rule, the one the engine
-runs."""
+The waypoint rule is `MobilityField`'s continuous-time legs: the engine asks
+it for one node (`position_of`, `instantaneous_speed`) or for the fleet
+(`positions_at`, `speeds_at`, through `_kernels.step_waypoints`). These
+tests check that rule, the one the engine runs."""
 
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -17,212 +19,221 @@ from mwsnsim.engine import RandomStream, Simulation
 from mwsnsim.mobility import (
     BadThresholds,
     MobilityClass,
+    Leg,
     MobilityField,
     UnknownNode,
     classify_mobility,
+    make_leg,
     snapshot_classes,
 )
 
 
-def _step_waypoints_loop(px, py, wx, wy, speed, pause_until, now, dt):
-    """Scalar oracle for `_kernels.step_waypoints`: the same rule, one node
-    at a time."""
-    n = px.shape[0]
-    t_arr = np.full(n, -1.0)
-    for i in range(n):
-        if pause_until[i] > now:
-            continue
-        dx = wx[i] - px[i]
-        dy = wy[i] - py[i]
-        dist = np.sqrt(dx * dx + dy * dy)
-        adv = speed[i] * dt
-        if adv >= dist:
-            px[i] = wx[i]
-            py[i] = wy[i]
-            if dist > 0.0 and speed[i] > 0.0:
-                t_arr[i] = now + dist / speed[i]
-            else:
-                t_arr[i] = now
-        else:
-            frac = adv / dist
-            px[i] += dx * frac
-            py[i] += dy * frac
-    return t_arr
-
-
-def _step_one(x, y, wx, wy, speed, pause_until, now, dt):
-    """step_waypoints on a one-node fleet; returns (x, y, t_arr)."""
-    px, py = np.array([x]), np.array([y])
-    t_arr = _kernels.step_waypoints(px, py, np.array([wx]), np.array([wy]),
-                                    np.array([speed]), np.array([pause_until]), now, dt)
-    return px[0], py[0], t_arr[0]
+def _one(t0, x0, y0, wx, wy, rate, t):
+    """step_waypoints on a one-node fleet; returns (x, y)."""
+    px, py = _kernels.step_waypoints(np.array([t0]), np.array([x0]), np.array([y0]),
+                                     np.array([wx]), np.array([wy]), np.array([rate]), t)
+    return px[0], py[0]
 
 
 def test_step_advances_along_unit_vector():
-    # 5 m/s for 0.5 s toward (3,4): unit vector (0.6, 0.8) scaled by 2.5 m
-    x, y, t_arr = _step_one(0.0, 0.0, 3.0, 4.0, speed=5.0, pause_until=-1.0, now=0.0, dt=0.5)
+    # a 5 m leg toward (3,4) at 5 m/s covers a fifth of itself per second:
+    # 2.5 m along the unit vector (0.6, 0.8) after 0.5 s
+    x, y = _one(0.0, 0.0, 0.0, 3.0, 4.0, rate=1.0, t=0.5)
     assert x == pytest.approx(1.5, abs=1e-12)
     assert y == pytest.approx(2.0, abs=1e-12)
-    assert t_arr == -1.0
 
 
 def test_paused_node_does_not_move():
-    x, y, t_arr = _step_one(7.0, 7.0, 20.0, 20.0, speed=3.0, pause_until=10.0, now=1.0, dt=0.5)
-    assert (x, y) == (7.0, 7.0)
-    assert t_arr == -1.0
-
-
-def test_step_matches_scalar_oracle():
-    """The vectorised stepper agrees with the scalar loop on random fleets
-    that include speed 0, distance 0 and paused nodes."""
-    rng = np.random.default_rng(21)
-    for n in (1, 7, 64, 300):
-        px = rng.uniform(0, 2000, n)
-        py = rng.uniform(0, 2000, n)
-        wx = rng.uniform(0, 2000, n)
-        wy = rng.uniform(0, 2000, n)
-        speed = rng.uniform(0, 20, n)
-        speed[rng.random(n) < 0.2] = 0.0
-        at_waypoint = rng.random(n) < 0.2
-        wx[at_waypoint] = px[at_waypoint]
-        wy[at_waypoint] = py[at_waypoint]
-        # some legs end within the step, so arrivals are exercised too
-        near = rng.random(n) < 0.3
-        wx[near] = px[near] + rng.uniform(-1.0, 1.0, near.sum())
-        pause = rng.choice([-1.0, 1.0, 5.0], n)
-        for now, dt in ((1.0, 0.1), (1.0, 0.5), (7.5, 2.0)):
-            px_a, py_a = px.copy(), py.copy()
-            px_b, py_b = px.copy(), py.copy()
-            t_a = _kernels.step_waypoints(px_a, py_a, wx, wy, speed, pause, now, dt)
-            t_b = _step_waypoints_loop(px_b, py_b, wx, wy, speed, pause, now, dt)
-            np.testing.assert_allclose(px_a, px_b, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(py_a, py_b, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(t_a, t_b, rtol=1e-12, atol=1e-12)
+    """From its arrival on, a node sits exactly on its waypoint."""
+    for t in (1.0, 1.5, 40.0):
+        assert _one(0.0, 7.0, 7.0, 20.0, 20.0, rate=1.0, t=t) == (20.0, 20.0)
 
 
 def _field(n=22, terrain=(2000.0, 2000.0), seed=1, controlled=None, **kw):
-    rng = RandomStream(seed, "mobility")
+    rngs = [RandomStream(seed, "mobility", i) for i in range(n)]
     patrol = RandomStream(seed, "placement")
     place = RandomStream(seed + 100, "placement")
     pos = np.array([[place.uniform(0, terrain[0]), place.uniform(0, terrain[1])]
                     for _ in range(n)])
     if controlled is None:
         controlled = np.zeros(n, dtype=bool)
-    return MobilityField(pos, controlled, terrain, rng, patrol, **kw)
+    return MobilityField(pos, controlled, terrain, rngs, patrol, **kw)
 
 
-def _one_node_leg(field, i, x, y, wx, wy, speed):
-    """Put node i on a known leg that starts at time 0."""
-    field.px[i], field.py[i] = x, y
-    field.wx[i], field.wy[i] = wx, wy
-    field.speed[i] = speed
-    field.pause_until[i] = -1.0
-    field.needs_leg[i] = False
+def _script_leg(field, i, x, y, wx, wy, speed, t0=0.0):
+    """Put node i on a known leg that starts at t0."""
+    field.legs[i] = make_leg(t0, x, y, wx, wy, speed)
+
+
+def _leg(field, i):
+    return Leg._make(field.legs[i].tolist())
+
+
+def _stock_fleet(seed=1):
+    return Simulation(validate_config({}), seed=seed).mob
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(st.sampled_from([0.0, 0.3, 2.0]), st.integers(1, 40),
+       st.lists(st.floats(0.0, 40.0), min_size=1, max_size=20))
+def test_step_matches_scalar_oracle(pause_time, seed, times):
+    """The fleet kernel and the one-node rule agree bit for bit:
+    positions_at(t)[i] == position_of(i, t) for every node, cluster heads
+    included, at increasing times."""
+    controlled = np.arange(12) >= 9
+    field = _field(n=12, terrain=(300.0, 300.0), seed=seed, controlled=controlled,
+                   pause_time=pause_time)
+    for t in sorted(times):
+        px, py = field.positions_at(t)
+        for i in range(12):
+            assert field.position_of(i, t) == (px[i], py[i])
+        assert field.speeds_at(t) == {i: field.instantaneous_speed(i, t) for i in range(12)}
 
 
 def test_arrival_snaps_to_waypoint_and_pauses():
-    # 1 m at 10 m/s from 0 s: arrival at 0.1 s, pause 2 s; a query at 0.6 s
-    # applies the 0.5 s tick, which records the arrival
-    field = _field(n=1, pause_time=2.0, tick_interval=0.5)
-    _one_node_leg(field, 0, 0.0, 0.0, 1.0, 0.0, 10.0)
-    px, py = field.positions_at(0.6)
-    assert (px[0], py[0]) == (1.0, 0.0)
-    assert (field.px[0], field.py[0]) == (1.0, 0.0)
-    assert field.pause_until[0] == pytest.approx(0.1 + 2.0, abs=1e-12)
-    assert field.needs_leg[0]
-    # the kernel itself reports t_arr = now + dist/speed
-    _, _, t_arr = _step_one(0.0, 0.0, 1.0, 0.0, speed=10.0, pause_until=-1.0, now=0.3, dt=0.5)
-    assert t_arr == pytest.approx(0.4, abs=1e-12)
+    # 1 m at 10 m/s from 0 s: arrival at 0.1 s, then a 2 s pause there
+    field = _field(n=1, pause_time=2.0)
+    _script_leg(field, 0, 0.0, 0.0, 1.0, 0.0, 10.0)
+    draws = field.rngs[0].draws
+    assert field.position_of(0, 0.05) == pytest.approx((0.5, 0.0), abs=1e-12)
+    assert field.instantaneous_speed(0, 0.05) == 10.0
+    for t in (0.1, 0.6, 2.0999):
+        assert field.position_of(0, t) == (1.0, 0.0)
+        assert field.instantaneous_speed(0, t) == 0.0
+    assert field.rngs[0].draws == draws
+    assert _leg(field, 0).t_arr == pytest.approx(0.1, abs=1e-15)
 
 
-@pytest.mark.parametrize("pause_time, draw_tick", [(0.4, 1.0), (0.45, 1.5)])
-def test_new_leg_drawn_at_first_tick_after_pause(pause_time, draw_tick):
-    """Arrival at 0.1 s; the pause ends at 0.1 + pause_time. The next leg is
-    drawn at the first tick whose previous tick is at or after the pause
-    end (0.5 s exactly draws at the 1.0 s tick; 0.55 s waits for 1.5 s), and
-    its motion counts from that previous tick. A query a quarter interval
-    after a tick applies that tick."""
-    field = _field(n=1, terrain=(50.0, 50.0), speed_range=(2.0, 4.0), pause_time=pause_time,
-                   tick_interval=0.5)
-    _one_node_leg(field, 0, 0.0, 0.0, 1.0, 0.0, 10.0)
-    t = 0.0
-    while t < draw_tick - 0.5:
-        t += 0.5
-        field.positions_at(t + 0.25)
-        assert field.needs_leg[0]
-        assert (field.px[0], field.py[0], field.wx[0], field.wy[0]) == (1.0, 0.0, 1.0, 0.0)
-    # a query at the draw tick's own time does not apply that tick
-    px, py = field.positions_at(draw_tick)
-    assert field.needs_leg[0] and (px[0], py[0]) == (1.0, 0.0)
-    expected = copy.deepcopy(field.rng)
+@pytest.mark.parametrize("pause_time", [0.0, 0.45])
+def test_next_leg_starts_when_pause_ends(pause_time):
+    """Arrival at t_arr = 0.1 s; the next leg starts exactly at t_arr +
+    pause_time, from the waypoint, on a waypoint and speed drawn from the
+    node's own stream. With no pause it starts at the arrival instant."""
+    field = _field(n=1, terrain=(50.0, 50.0), speed_range=(2.0, 4.0), pause_time=pause_time)
+    _script_leg(field, 0, 0.0, 0.0, 1.0, 0.0, 10.0)
+    t_next = 0.1 + pause_time
+    expected = copy.deepcopy(field.rngs[0])
     wx, wy, speed = (expected.uniform(0.0, 50.0), expected.uniform(0.0, 50.0),
                      expected.uniform(2.0, 4.0))
-    px, py = field.positions_at(draw_tick + 0.25)
-    assert not field.needs_leg[0]
-    assert (field.wx[0], field.wy[0], field.speed[0]) == (wx, wy, speed)
-    dist = np.hypot(wx - 1.0, wy)
-    moved = min(speed * 0.5, dist)
-    assert field.px[0] == pytest.approx(1.0 + (wx - 1.0) / dist * moved, abs=1e-9)
-    assert field.py[0] == pytest.approx(wy / dist * moved, abs=1e-9)
-    moved = min(speed * 0.75, dist)
-    assert px[0] == pytest.approx(1.0 + (wx - 1.0) / dist * moved, abs=1e-9)
-    assert py[0] == pytest.approx(wy / dist * moved, abs=1e-9)
+    # just before, the node is still arriving (no pause) or standing
+    before = math.nextafter(t_next, 0.0)
+    assert field.position_of(0, before) == pytest.approx((1.0, 0.0), abs=1e-12)
+    assert field.instantaneous_speed(0, before) == (10.0 if pause_time == 0.0 else 0.0)
+    # at t_next itself the new leg has begun, at its own speed
+    assert field.position_of(0, t_next) == (1.0, 0.0)
+    assert field.instantaneous_speed(0, t_next) == speed
+    assert _leg(field, 0)[:6] == (t_next, 1.0, 0.0, wx, wy, speed)
+    dist = math.hypot(wx - 1.0, wy)
+    moved = min(speed * 0.25, dist)
+    x, y = field.position_of(0, t_next + 0.25)
+    assert x == pytest.approx(1.0 + (wx - 1.0) / dist * moved, abs=1e-9)
+    assert y == pytest.approx(wy / dist * moved, abs=1e-9)
 
 
-def test_legs_drawn_in_ascending_node_id():
-    field = _field(n=3, terrain=(50.0, 50.0), speed_range=(2.0, 4.0), pause_time=0.1,
-                   tick_interval=0.5)
-    for i in (2, 0, 1):
-        _one_node_leg(field, i, 0.0, float(i), 1.0, float(i), 10.0)
-    field.positions_at(0.75)
-    assert field.needs_leg.all()
-    expected = copy.deepcopy(field.rng)
-    legs = [(expected.uniform(0.0, 50.0), expected.uniform(0.0, 50.0), expected.uniform(2.0, 4.0))
-            for _ in range(3)]
-    field.positions_at(1.25)
-    assert [(field.wx[i], field.wy[i], field.speed[i]) for i in range(3)] == legs
+def test_legs_drawn_from_each_nodes_own_stream():
+    """A node's path depends on the seed and its id alone: the first three
+    nodes of a 3-node and an 8-node fleet move identically, whatever else is
+    asked about, and each draws exactly the legs that start by the time it is
+    asked about."""
+    small = _field(n=3, terrain=(100.0, 100.0), pause_time=0.2)
+    large = _field(n=8, terrain=(100.0, 100.0), pause_time=0.2)
+    for k in range(1, 301):
+        t = 0.1 * k
+        large.positions_at(t)
+        for i in range(3):
+            assert small.position_of(i, t) == large.position_of(i, t)
+            assert small.instantaneous_speed(i, t) == large.instantaneous_speed(i, t)
+    assert [r.draws for r in small.rngs] == [r.draws for r in large.rngs[:3]]
+    assert all(_leg(small, i).t0 <= 30.0 < _leg(small, i).t_arr + small.pause_time
+               for i in range(3))
 
 
 def test_speed_is_zero_while_next_leg_pending():
-    # the pause ends at 0.2 s, but until the 1.0 s tick draws a leg the node
-    # stands still and reports speed 0
-    field = _field(n=1, pause_time=0.1, tick_interval=0.5)
-    _one_node_leg(field, 0, 0.0, 0.0, 1.0, 0.0, 10.0)
-    assert field.instantaneous_speed(0, 0.6) == 0.0
-    assert field.needs_leg[0] and field.pause_until[0] < 0.5
-    assert field.speeds_at(0.7) == {0: 0.0}
-    px, py = field.positions_at(0.7)
-    assert (px[0], py[0]) == (1.0, 0.0)
+    # arrival at 0.1 s, the next leg starts at 0.6 s: in between the node
+    # stands at its waypoint and reports speed 0, to one node and fleet queries
+    field = _field(n=1, pause_time=0.5)
+    _script_leg(field, 0, 0.0, 0.0, 1.0, 0.0, 10.0)
+    for t in (0.1, 0.35, math.nextafter(0.6, 0.0)):
+        assert field.instantaneous_speed(0, t) == 0.0
+        assert field.speeds_at(t) == {0: 0.0}
+        px, py = field.positions_at(t)
+        assert (px[0], py[0]) == (1.0, 0.0)
 
 
-def test_positions_before_last_tick_rejected():
-    field = _field(n=2)
-    field.positions_at(1.05)
+def test_standing_node_reports_speed_zero():
+    """On the stock seed-1 fleet sampled every 10 ms for 30 s, a node that
+    does not move over a sampling step reports speed 0 at its start."""
+    field = _stock_fleet()
+    px, py = field.positions_at(0.0)
+    speeds = field.speeds_at(0.0)
+    for k in range(1, 3001):
+        t = k * 0.01
+        qx, qy = field.positions_at(t)
+        for i in np.flatnonzero((qx == px) & (qy == py)).tolist():
+            assert speeds[i] == 0.0, (i, t)
+        px, py, speeds = qx, qy, field.speeds_at(t)
+
+
+def test_no_jumps_on_stock_fleet():
+    """On the stock seed-1 fleet sampled every 1 ms for 30 s, no node moves
+    farther in a step than the speed cap allows."""
+    field = _stock_fleet()
+    speed_max = 20.0
+    t_prev = 0.0
+    px, py = field.positions_at(t_prev)
+    for k in range(1, 30001):
+        t = k * 0.001
+        qx, qy = field.positions_at(t)
+        step = np.hypot(qx - px, qy - py)
+        assert step.max() <= speed_max * (t - t_prev) + 1e-9, (t, int(step.argmax()))
+        px, py, t_prev = qx, qy, t
+
+
+def test_query_before_current_leg_rejected():
+    field = _field(n=2, pause_time=0.0)
+    _script_leg(field, 0, 0.0, 0.0, 1.0, 0.0, 10.0)
+    field.position_of(0, 0.5)  # starts node 0's second leg at 0.1 s
     with pytest.raises(ValueError):
-        field.positions_at(0.5)
+        field.position_of(0, 0.05)
+    with pytest.raises(ValueError):
+        field.positions_at(0.05)
+    # node 1 is still on its first leg, so it can still be asked about
+    field.position_of(1, 0.05)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(st.sampled_from([0.1, 0.25, 0.3, 1.0]), st.sampled_from([0.0, 0.2, 2.0]),
-       st.floats(0.0, 20.0), st.lists(st.floats(0.0, 1.0), max_size=30))
-def test_positions_are_a_function_of_time(tick_interval, pause_time, horizon, fractions):
-    """Queries at any increasing times before T leave positions_at(T), the
-    speeds at T and the mobility draws exactly as a fresh field queried only
-    at T."""
+@given(st.sampled_from([0.0, 0.2, 2.0]),
+       st.lists(st.tuples(st.floats(0.0, 30.0), st.booleans(),
+                          st.lists(st.integers(0, 7), max_size=8)),
+                min_size=1, max_size=10))
+def test_positions_are_a_function_of_time(pause_time, plan):
+    """A node's position and speed at t do not depend on what was asked
+    before. A field queried along any plan of increasing times, for any
+    nodes in any order, with or without fleet queries, answers exactly as a
+    fresh field asked only about that node at that time; after the fleet
+    catch-up at the last time, both have drawn the same legs."""
     controlled = np.arange(8) >= 6
-    kw = dict(n=8, terrain=(100.0, 100.0), controlled=controlled, pause_time=pause_time,
-              tick_interval=tick_interval)
-    queried, fresh = _field(**kw), _field(**kw)
-    for t in sorted(f * horizon for f in fractions):
-        queried.positions_at(t)
-        queried.speeds_at(t)
-    px, py = queried.positions_at(horizon)
-    qx, qy = fresh.positions_at(horizon)
-    assert np.array_equal(px, qx) and np.array_equal(py, qy)
-    assert queried.speeds_at(horizon) == fresh.speeds_at(horizon)
-    assert queried.rng.draws == fresh.rng.draws
-    # and each has applied exactly the ticks before T
-    assert fresh.last_tick < horizon <= fresh.next_tick or horizon == 0.0
+    kw = dict(n=8, terrain=(100.0, 100.0), controlled=controlled, pause_time=pause_time)
+    queried = _field(**kw)
+    for t, fleet, nodes in sorted(plan):
+        if fleet:
+            px, py = queried.positions_at(t)
+            speeds = queried.speeds_at(t)
+            nodes = range(8)
+        for i in nodes:
+            alone = _field(**kw)
+            xy = alone.position_of(i, t)
+            v = alone.instantaneous_speed(i, t)
+            assert queried.position_of(i, t) == xy
+            assert queried.instantaneous_speed(i, t) == v
+            if fleet:
+                assert (px[i], py[i]) == xy and speeds[i] == v
+    horizon = max(t for t, _, _ in plan)
+    fresh = _field(**kw)
+    queried.tick(horizon)
+    fresh.tick(horizon)
+    assert [r.draws for r in queried.rngs] == [r.draws for r in fresh.rngs]
+    assert np.array_equal(queried.legs, fresh.legs)
 
 
 def test_classify_below_first_threshold():
@@ -262,8 +273,8 @@ def test_snapshot_per_node_rule():
 
 
 def test_positions_stay_in_bounds_over_many_steps():
-    """10^4 random steps never leave the terrain rectangle."""
-    field = _field(n=10, tick_interval=0.1)
+    """10^3 fleet queries never leave the terrain rectangle."""
+    field = _field(n=10)
     t = 0.0
     for _ in range(1000):
         t += 0.1
@@ -276,43 +287,65 @@ def test_speed_bounds_by_regime():
     controlled = np.zeros(8, dtype=bool)
     controlled[6:] = True
     field = _field(n=8, controlled=controlled,
-                   speed_range=(1.0, 20.0), controlled_speed_cap=2.0, tick_interval=0.1)
+                   speed_range=(1.0, 20.0), controlled_speed_cap=2.0)
     t = 0.0
     for _ in range(300):
         t += 0.1
         speeds = field.speeds_at(t)
         for i in range(6):
-            assert 1.0 <= field.speed[i] <= 20.0
-            assert speeds[i] in (0.0, field.speed[i])
+            assert 1.0 <= _leg(field, i).speed <= 20.0
+            assert speeds[i] in (0.0, _leg(field, i).speed)
         for i in (6, 7):
-            assert field.speed[i] <= 2.0 and speeds[i] <= 2.0
+            assert _leg(field, i).speed <= 2.0 and speeds[i] <= 2.0
 
 
-def test_position_at_tick_time_is_stored_position():
-    """A query at a tick's time, which does not apply that tick, gives the
-    positions the tick then stores."""
-    field = _field(n=4, tick_interval=0.1)
-    px, py = field.positions_at(0.1)
-    field.positions_at(0.15)
-    assert field.last_tick == 0.1
-    assert np.array_equal(px, field.px) and np.array_equal(py, field.py)
+def test_position_at_leg_start_is_last_waypoint():
+    """Legs join up: at each new leg's start the node stands on the waypoint
+    its last leg reached, and the fleet query there agrees."""
+    field = _field(n=6, terrain=(60.0, 60.0), pause_time=0.0)
+    t = 0.0
+    for _ in range(40):
+        # the next leg to end; with no pause, the next to start there
+        i = min(range(6), key=lambda j: _leg(field, j).t_arr)
+        last = _leg(field, i)
+        t = last.t_arr
+        px, py = field.positions_at(t)
+        assert _leg(field, i)[:3] == (t, last.wx, last.wy)
+        assert (px[i], py[i]) == pytest.approx((last.wx, last.wy), abs=1e-12)
+    assert t > 0.0
 
 
 def test_position_interpolates_linearly_midleg():
     field = _field(n=1)
-    _one_node_leg(field, 0, 0.0, 0.0, 10.0, 0.0, 10.0)
+    _script_leg(field, 0, 0.0, 0.0, 10.0, 0.0, 10.0)
+    assert field.position_of(0, 0.5) == pytest.approx((5.0, 0.0), abs=1e-12)
     px, py = field.positions_at(0.5)
     assert px[0] == pytest.approx(5.0, abs=1e-12) and py[0] == 0.0
 
 
 def test_paused_node_position_constant():
-    field = _field(n=1)
-    field.px[0], field.py[0] = 3.0, 4.0
-    field.pause_until[0] = 99.0
-    for t in (0.02, 0.05, 0.09):
+    field = _field(n=1, pause_time=99.0)
+    _script_leg(field, 0, 3.0, 4.0, 3.0, 4.0, 1.0)
+    for t in (0.02, 0.05, 0.09, 50.0):
         px, py = field.positions_at(t)
         assert (px[0], py[0]) == (3.0, 4.0)
-    assert field.instantaneous_speed(0, 0.05) == 0.0
+        assert field.instantaneous_speed(0, t) == 0.0
+
+
+def test_one_point_patrol_parks():
+    """A patrol loop whose points all coincide (radius 0) leaves the node
+    parked at its start with speed 0; with no pause either, it still draws
+    no endless run of zero-length legs."""
+    cfg = validate_config({"session_duration": 5.0,
+                           "mobility": {"patrol_radius": 0.0, "pause_time": 0.0}})
+    sim = Simulation(cfg, seed=1)
+    start = sim.mob.positions_at(0.0)
+    sim.run()
+    end = sim.mob.positions_at(5.0)
+    for i in sim.ch_ids + sim.bs_ids:
+        assert (end[0][i], end[1][i]) == (start[0][i], start[1][i])
+        assert sim.mob.instantaneous_speed(i, 5.0) == 0.0
+        assert sim.mob.rngs[i].draws == 0
 
 
 def test_unknown_node_rejected():

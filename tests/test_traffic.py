@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from mwsnsim.config import validate_config
 from mwsnsim.engine import Simulation
+from mwsnsim.mobility import make_leg
 from mwsnsim.radio import ConnectivityGraph
 from mwsnsim.scheduler import GATE_SENTINEL
 from mwsnsim.traffic import (
@@ -360,10 +361,7 @@ def _link_break_sim():
     sim = Simulation(cfg, seed=1, scheme="data")
     # script the cluster head: walk straight away from node 0 at 2 m/s, so it
     # sits at 249 m (in range) at the t=2 frame and 251 m (out) at t=3
-    sim.mob.speed[2] = 2.0
-    sim.mob.wx[2], sim.mob.wy[2] = 999.0, 50.0
-    sim.mob.pause_until[2] = -1.0
-    sim.mob.needs_leg[2] = False
+    sim.mob.legs[2] = make_leg(0.0, 245.0, 50.0, 999.0, 50.0, 2.0)
     return sim
 
 
