@@ -215,8 +215,10 @@ def _validate(d: dict[str, Any]) -> dict[str, Any]:
              "grid.frame_length", "must be positive")
 
     f = d["flow"]
-    _require(0 < f["desired_pdr"] <= 1, "flow.desired_pdr", "must lie in (0, 1]")
-    _require(0 <= f["pdr_threshold"] < 1, "flow.pdr_threshold", "must lie in [0, 1)")
+    _require(_is_num(f["desired_pdr"]) and 0 < f["desired_pdr"] <= 1,
+             "flow.desired_pdr", "must lie in (0, 1]")
+    _require(_is_num(f["pdr_threshold"]) and 0 <= f["pdr_threshold"] < 1,
+             "flow.pdr_threshold", "must lie in [0, 1)")
     _require(f["desired_pdr"] > f["pdr_threshold"],
              "flow.desired_pdr", "must exceed flow.pdr_threshold")
     _require(_is_num(f["deadline_budget"]) and f["deadline_budget"] > 0,
@@ -238,7 +240,7 @@ def _validate(d: dict[str, Any]) -> dict[str, Any]:
              "energy.tx_power", "need tx_power >= rx_power >= idle_power")
     _require(_is_num(e["link_rate"]) and e["link_rate"] > 0,
              "energy.link_rate", "must be positive")
-    _require(0 < e["battery_threshold"] < d["initial_energy"],
+    _require(_is_num(e["battery_threshold"]) and 0 < e["battery_threshold"] < d["initial_energy"],
              "energy.battery_threshold", "must lie strictly between 0 and initial_energy")
     _require(isinstance(e["battery_levels"], int) and e["battery_levels"] >= 1,
              "energy.battery_levels", "must be an integer >= 1")
@@ -246,14 +248,18 @@ def _validate(d: dict[str, Any]) -> dict[str, Any]:
              "energy.level_penalty", "must be non-negative")
 
     m = d["mobility"]
-    _require(_is_num(m["speed_max"]) and 0 < m["speed_min"] <= m["speed_max"],
+    _require(_is_num(m["speed_min"]) and _is_num(m["speed_max"])
+             and 0 < m["speed_min"] <= m["speed_max"],
              "mobility.speed_min", "need 0 < speed_min <= speed_max")
     _require(_is_num(m["pause_time"]) and m["pause_time"] >= 0,
              "mobility.pause_time", "must be non-negative")
-    _require(0 < m["controlled_speed_cap"] < m["speed_max"],
+    _require(_is_num(m["controlled_speed_cap"]) and 0 < m["controlled_speed_cap"] < m["speed_max"],
              "mobility.controlled_speed_cap", "must lie strictly between 0 and speed_max")
+    _require(_is_num(m["patrol_radius"]) and m["patrol_radius"] >= 0,
+             "mobility.patrol_radius", "must be non-negative")
     ct = m["class_thresholds"]
-    _require(isinstance(ct, (list, tuple)) and len(ct) == 2 and 0 <= ct[0] < ct[1],
+    _require(isinstance(ct, (list, tuple)) and len(ct) == 2 and all(_is_num(v) for v in ct)
+             and 0 <= ct[0] < ct[1],
              "mobility.class_thresholds", "must be [v1, v2] with 0 <= v1 < v2")
 
     o = d["options"]
@@ -261,9 +267,10 @@ def _validate(d: dict[str, Any]) -> dict[str, Any]:
              "options.velocity_floor", "must be positive")
     _require(o["gate_mode"] in ("sentinel", "drop"),
              "options.gate_mode", "must be 'sentinel' or 'drop'")
-    _require(o["density_weight"] >= 0 and o["bandwidth_weight"] >= 0
-             and o["density_weight"] + o["bandwidth_weight"] > 0,
-             "options.density_weight", "weights must be non-negative, not both zero")
+    for fld in ("density_weight", "bandwidth_weight"):
+        _require(_is_num(o[fld]) and o[fld] >= 0, f"options.{fld}", "must be non-negative")
+    _require(o["density_weight"] + o["bandwidth_weight"] > 0,
+             "options.density_weight", "weights must not both be zero")
     _require(o["orphan_policy"] in ("contend", "exclude"),
              "options.orphan_policy", "must be 'contend' or 'exclude'")
 
@@ -279,6 +286,8 @@ def _validate(d: dict[str, Any]) -> dict[str, Any]:
                      f"{where}.time", "must lie within the session")
             ev.setdefault("reporter", None)
             ev.setdefault("emit_reports", True)
+            _require(isinstance(ev["emit_reports"], bool),
+                     f"{where}.emit_reports", "must be true or false")
             if ev["reporter"] is not None:
                 _require(isinstance(ev["reporter"], int) and 0 <= ev["reporter"] < d["node_count"],
                          f"{where}.reporter", "must be a valid node id")
@@ -320,10 +329,13 @@ def _validate(d: dict[str, Any]) -> dict[str, Any]:
             fl.setdefault("stop", d["session_duration"])
             fl.setdefault("importance_override", None)
             _require(_is_num(fl["interval"]) and fl["interval"] > 0, f"{where}.interval", "must be positive")
-            _require(fl["start"] < fl["stop"] <= d["session_duration"],
+            # a negative start would schedule packets before the clock
+            _require(_is_num(fl["start"]) and fl["start"] >= 0,
+                     f"{where}.start", "must be non-negative")
+            _require(_is_num(fl["stop"]) and fl["start"] < fl["stop"] <= d["session_duration"],
                      f"{where}.stop", "need start < stop <= session_duration")
             if fl["importance_override"] is not None:
-                _require(0 < fl["importance_override"] <= 1,
+                _require(_is_num(fl["importance_override"]) and 0 < fl["importance_override"] <= 1,
                          f"{where}.importance_override", "must lie in (0, 1]")
 
     if d["node_placement"] is not None:

@@ -54,14 +54,13 @@ class Event(NamedTuple):
 
 class EventQueue:
     """Min-heap of events keyed by (time, sequence); sequence numbers are
-    assigned at schedule time, so simultaneous events dequeue FIFO."""
+    assigned at schedule time, so simultaneous events dequeue FIFO. The
+    count of events scheduled so far is the next sequence number."""
 
     def __init__(self):
         self._heap: list[Event] = []
-        self._next_seq = 0
         self.now = 0.0
         self.scheduled = 0
-        self.processed = 0
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -72,10 +71,9 @@ class EventQueue:
             raise PastEvent(f"event at {time} is before the clock at {self.now}")
         if not math.isfinite(time):
             raise ValueError("event time must be finite")
-        seq = self._next_seq
-        self._next_seq += 1
-        heapq.heappush(self._heap, Event(time, seq, kind, payload))
+        seq = self.scheduled
         self.scheduled += 1
+        heapq.heappush(self._heap, Event(time, seq, kind, payload))
         return seq
 
     def peek_time(self) -> float | None:
@@ -84,7 +82,6 @@ class EventQueue:
     def pop(self) -> Event:
         event = heapq.heappop(self._heap)
         self.now = event.time
-        self.processed += 1
         return event
 
 
@@ -107,10 +104,6 @@ class RandomStream:
         if a > b:
             raise BadRange(f"uniform({a}, {b}): need a <= b")
         self.draws += 1
-        if a == b:
-            # still advance the stream so call counts stay comparable
-            self._gen.uniform(0.0, 1.0)
-            return float(a)
         return float(self._gen.uniform(a, b))
 
     def sample(self, population, k: int) -> list:
@@ -278,7 +271,6 @@ class Simulation:
                     importance_override=fl["importance_override"],
                 ))
         self.flows = flows
-        self.flow_by_id = {fl.id: fl for fl in flows}
         # every packet goes to a flow's sink or (a critical-event report) to
         # a base station, so these are all the hop maps routing can read
         self.route_dsts = sorted({fl.dst for fl in flows} | set(self.bs_ids))
@@ -316,7 +308,7 @@ class Simulation:
             self.queue.schedule(ev["time"], EventKind.CRITICAL_EVENT, (idx,))
         for fl in self.flows:
             for t in traffic_mod.generate_cbr(fl, session):
-                self.queue.schedule(t, EventKind.PACKET_GENERATED, (fl.id,))
+                self.queue.schedule(t, EventKind.PACKET_GENERATED, (fl,))
 
     # helpers ---------------------------------------------------------------
     def _positions(self, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -392,8 +384,7 @@ class Simulation:
                 tracker = trackers.get(p.flow)
                 pdr = tracker.value if tracker is not None else 1.0
                 pdr_cache[p.flow] = pdr
-            # compute_ulb's budget; t < deadline here, so it needs no clamp
-            return sched.mdlps_index(pdr, flow, (p.deadline - t) / (2.0 ** hops), v, x)
+            return sched.mdlps_index(pdr, flow, sched.compute_ulb(p.deadline, t, hops), v, x)
         return key
 
     def _gated_out(self, packet: traffic_mod.Packet) -> bool:
@@ -427,12 +418,12 @@ class Simulation:
         ascending: alive non-sink nodes with queued data, keyed by their
         best packet under the active scheme.
 
-        Under the data scheme sensors report through their nearest in-range
-        cluster head; ranking is the shared comparator over all contenders,
-        which equals merging the per-cluster lists. Cluster affiliation only
-        decides which sensors are orphans, and orphans either contend
-        directly or are excluded, per policy. The mdlps scheme has no
-        orphans.
+        Under the data scheme sensors report through a cluster head in
+        reach; ranking is the shared comparator over all contenders, which
+        equals merging the per-cluster lists, so no affiliation is computed.
+        A sensor with no cluster head in reach is an orphan, and orphans
+        either contend directly or are excluded, per policy. The mdlps
+        scheme has no orphans.
         """
         holders = [i for i in self._alive() if i < self.bs_ids[0] and len(self.queues[i]) > 0]
         cands: dict[int, sched.Candidate] = {}
@@ -447,8 +438,7 @@ class Simulation:
         if self.scheme == "data":
             chs = [c for c in self.ch_ids if c not in self.dead]
             sensors = [s for s in holders if s < len(self.sensor_ids)]
-            _, orphans = sched.assign_clusters(sensors, chs, self._position_map(t),
-                                               self.graph.has_edge)
+            orphans = sched.assign_clusters(sensors, chs, self.graph.has_edge)
             if orphans and self.orphan_policy == "exclude":
                 excluded = set(orphans)
                 holders = [n for n in holders if n not in excluded]
@@ -477,8 +467,7 @@ class Simulation:
         transient: list[tuple[int, int, int]] = []
         taken: set[int] = set()
         empty_positions: list[tuple[int, int]] = []
-        for pos in self.grid.positions():
-            holder = self.grid.holder(pos)
+        for pos, holder in self.grid.assignment.items():
             if holder is None or holder in self.dead:
                 empty_positions.append(pos)
             else:
@@ -637,8 +626,7 @@ class Simulation:
 
     def _on_packet_generated(self, ev: Event) -> None:
         t = ev.time
-        (flow_id,) = ev.payload
-        fl = self.flow_by_id[flow_id]
+        (fl,) = ev.payload
         if fl.importance_override is not None:
             imp = fl.importance_override
         else:
@@ -647,7 +635,7 @@ class Simulation:
                 imp = self.streams["importance"].uniform(0.8, 1.0)
             else:
                 imp = self.streams["importance"].uniform(0.1, 0.5)
-        self._generate_packet(flow_id, fl.src, fl.dst, t, imp)
+        self._generate_packet(fl.id, fl.src, fl.dst, t, imp)
 
     _HANDLERS = {
         EventKind.FRAME_BOUNDARY: _on_frame_boundary,
@@ -691,7 +679,7 @@ class Simulation:
             "k": "end", "t": t_end,
             "draws": self.streams.draw_counts(),
             "events": {"scheduled": self.queue.scheduled,
-                       "processed": self.queue.processed,
+                       "processed": self.queue.scheduled - len(self.queue),
                        "pending": len(self.queue)},
         })
         return self.trace

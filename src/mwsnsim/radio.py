@@ -9,7 +9,8 @@ which makes connectivity a deterministic disc model.
 A uniform grid of cells whose side is the reception range yields the
 candidate pairs of the connectivity graph (a fixed-radius near-neighbour
 search; Bentley, Stanat & Williams, IPL 1977), and only those pairs go
-through the exact power test. Adjacency is held in compressed sparse rows.
+through the exact power test. Adjacency is built as compressed sparse rows
+and kept as one tuple of neighbours per node.
 """
 
 from __future__ import annotations
@@ -127,19 +128,16 @@ def in_range(params: RadioParams, a: tuple[float, float], b: tuple[float, float]
 
 
 class ConnectivityGraph:
-    """Undirected disc-model connectivity over a node subset, in compressed
-    sparse rows.
+    """Undirected disc-model connectivity over a node subset.
 
-    nodes holds the node ids ascending, and row k belongs to nodes[k]: its
-    neighbours are the rows indices[indptr[k]:indptr[k + 1]], ascending, so
-    traversals are deterministic. The rows are also materialised once as
-    tuples of neighbour ids, which is what the per-node queries read; the
-    ids in them are the objects of `nodes`, shared rather than copied.
+    Built from compressed sparse rows: nodes holds the node ids ascending,
+    and row k belongs to nodes[k], its neighbours being the rows
+    indices[indptr[k]:indptr[k + 1]], ascending. Each row is kept as a
+    tuple of neighbour ids, so traversals are deterministic; the ids in
+    them are the objects of `nodes`, shared rather than copied.
     """
 
     def __init__(self, nodes: np.ndarray, indptr: np.ndarray, indices: np.ndarray):
-        self.indptr = indptr
-        self.indices = indices
         self.nodes: tuple[int, ...] = tuple(nodes.tolist())
         flat = np.array(self.nodes, dtype=object)[indices].tolist()
         bounds = indptr.tolist()
@@ -165,10 +163,7 @@ class ConnectivityGraph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Every edge once as (a, b) with a < b, sorted."""
-        ids = np.asarray(self.nodes, dtype=np.int64)
-        rows = np.repeat(np.arange(len(ids)), np.diff(self.indptr))
-        upper = rows < self.indices
-        return list(zip(ids[rows[upper]].tolist(), ids[self.indices[upper]].tolist()))
+        return [(a, b) for a, row in self._rows.items() for b in row if a < b]
 
 
 # Cells are never smaller than this fraction of the layout's extent. That

@@ -249,9 +249,6 @@ class SlotGrid:
         """Permit one fresh allocation (called at each critical event)."""
         self.armed = True
 
-    def holder(self, pos: tuple[int, int]) -> int | None:
-        return self.assignment[pos]
-
 
 def allocate_slots(sources, grid: SlotGrid) -> SlotGrid:
     """Fill the grid with the best min(|sources|, capacity) tuples.
@@ -263,34 +260,23 @@ def allocate_slots(sources, grid: SlotGrid) -> SlotGrid:
         raise EmptyGrid("grid has no positions")
     if not grid.armed:
         raise FrozenGrid("allocation without an intervening critical event")
-    ranked = sorted(sources, key=tuple_key)
-    assignment: dict[tuple[int, int], int | None] = {}
-    for pos, src in zip(grid.positions(), ranked):
-        assignment[pos] = src.node
-    for pos in grid.positions():
-        assignment.setdefault(pos, None)
-    grid.assignment = {pos: assignment[pos] for pos in grid.positions()}
+    ranked = [src.node for src in sorted(sources, key=tuple_key)]
+    ranked += [None] * (grid.capacity - len(ranked))
+    grid.assignment = dict(zip(grid.positions(), ranked))
     grid.armed = False
     grid.ever_allocated = True
     return grid
 
 
-def assign_clusters(sensors, cluster_heads, positions, reach) -> tuple[dict[int, list[int]], list[int]]:
-    """Affiliate each sensor to its nearest in-range cluster head.
+def assign_clusters(sensors, cluster_heads, reach) -> list[int]:
+    """The orphans among sensors, ascending: those with no cluster head in
+    radio reach. reach(a, b) decides reachability.
 
-    reach(a, b) decides radio reachability. Returns ({ch: members}, orphans);
-    orphans are sensors with no cluster head in range. Distance ties break by
-    cluster-head id.
+    Under the data scheme a sensor reports through a cluster head, but
+    ranking is one comparator over all contenders, so which head a sensor
+    would pick does not matter; only whether it has one does.
     """
-    reports: dict[int, list[int]] = {ch: [] for ch in sorted(cluster_heads)}
-    orphans: list[int] = []
-    for sensor in sorted(sensors):
-        ch = nearest(positions[sensor], [c for c in cluster_heads if reach(sensor, c)], positions)
-        if ch is None:
-            orphans.append(sensor)
-        else:
-            reports[ch].append(sensor)
-    return reports, orphans
+    return [s for s in sorted(sensors) if not any(reach(s, c) for c in cluster_heads)]
 
 
 def global_importance_ranking(cluster_reports: dict[int, list[Candidate]]) -> list[Candidate]:

@@ -30,7 +30,6 @@ class Packet:
     importance: float
     strikes: int = 0      # consecutive no-route transmission attempts
     retries: int = 0      # link-broken retransmission attempts
-    enqueue_seq: int = 0  # FIFO tie-break inside a queue
 
 
 @dataclass(frozen=True)
@@ -69,9 +68,11 @@ class NodeQueue:
     """Bounded queue ordered by the active scheme's key at inspection time.
 
     Keys are recomputed when the queue is read (laxity decays with the
-    clock), so only membership and FIFO sequence are stored. On overflow the
-    worst-keyed packet is dropped, which may be the incoming one; key ties
-    evict the newest arrival.
+    clock), so only membership is stored, in arrival order: packets are only
+    appended, and removal keeps the order of the rest. Reads sort stably, so
+    key ties go first-in first-out. On overflow the worst-keyed packet is
+    dropped, which may be the incoming one; key ties evict the newest
+    arrival.
     """
 
     def __init__(self, capacity: int):
@@ -79,7 +80,6 @@ class NodeQueue:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self._items: list[Packet] = []
-        self._seq = 0
 
     def __len__(self) -> int:
         return len(self._items)
@@ -94,12 +94,11 @@ class NodeQueue:
         """
         if now >= packet.deadline:
             raise Expired(f"packet {packet.id} expired before enqueue")
-        packet.enqueue_seq = self._seq
-        self._seq += 1
         if len(self._items) < self.capacity:
             self._items.append(packet)
             return None
-        worst = max(self._items + [packet], key=lambda p: (key_fn(p), p.enqueue_seq))
+        # max keeps the first of equal keys, so the newest goes first
+        worst = max([packet, *reversed(self._items)], key=key_fn)
         if worst is packet:
             return packet
         self._items.remove(worst)
@@ -108,7 +107,7 @@ class NodeQueue:
 
     def sorted_items(self, key_fn) -> list[Packet]:
         """Queue contents best-first under the given key, FIFO among ties."""
-        return sorted(self._items, key=lambda p: (key_fn(p), p.enqueue_seq))
+        return sorted(self._items, key=key_fn)
 
     def best_key(self, key_fn):
         """Smallest key in the queue, or None when empty."""

@@ -55,8 +55,13 @@ def test_nothing_due_processes_nothing():
 
 
 def test_uniform_degenerate_range():
+    """uniform(a, a) returns a and still takes one draw from the stream."""
     s = RandomStream(42, "traffic")
     assert s.uniform(5.0, 5.0) == 5.0
+    assert s.draws == 1
+    fresh = RandomStream(42, "traffic")
+    fresh.uniform(0.0, 1.0)
+    assert s.uniform(0.0, 1.0) == fresh.uniform(0.0, 1.0)
 
 
 def test_uniform_same_seed_fresh_streams_identical():
@@ -148,10 +153,14 @@ def test_clock_monotonicity_in_trace():
 def test_event_conservation_counts():
     cfg = _small_cfg()
     sim = Simulation(cfg, seed=4, scheme="mdlps")
+    popped = []
+    pop = sim.queue.pop
+    sim.queue.pop = lambda: popped.append(pop()) or popped[-1]
     trace = sim.run()
     end = trace[-1]
     assert end["k"] == "end"
     ev = end["events"]
+    assert ev["processed"] == len(popped) > 0
     assert ev["scheduled"] == ev["processed"] + ev["pending"]
 
 

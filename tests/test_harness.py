@@ -83,6 +83,25 @@ def test_repeated_flow_id_rejected(flows):
     ("session_duration: .inf", "session_duration"),
     ("mobility: {speed_max: .inf}", "mobility.speed_min"),
     ("radio: {nominal_range: .nan}", "radio.nominal_range"),
+    # quoted numbers
+    ("flow: {desired_pdr: '0.9'}", "flow.desired_pdr"),
+    ("flow: {pdr_threshold: '0.25'}", "flow.pdr_threshold"),
+    ("mobility: {speed_min: '1.0'}", "mobility.speed_min"),
+    ("mobility: {controlled_speed_cap: '2.0'}", "mobility.controlled_speed_cap"),
+    ("mobility: {class_thresholds: ['5.0', 15.0]}", "mobility.class_thresholds"),
+    ("mobility: {class_thresholds: [5.0, '15.0']}", "mobility.class_thresholds"),
+    ("energy: {battery_threshold: '10.0'}", "energy.battery_threshold"),
+    ("options: {density_weight: '0.7'}", "options.density_weight"),
+    ("options: {bandwidth_weight: '0.3'}", "options.bandwidth_weight"),
+    ("flows: [{src: 0, dst: 21, start: '0.0'}]", "flows[0].start"),
+    ("flows: [{src: 0, dst: 21, stop: '50.0'}]", "flows[0].stop"),
+    ("flows: [{src: 0, dst: 21, importance_override: '0.5'}]", "flows[0].importance_override"),
+    # numbers out of their range, and a string where a bool belongs
+    ("mobility: {patrol_radius: -5.0}", "mobility.patrol_radius"),
+    ("mobility: {patrol_radius: .inf}", "mobility.patrol_radius"),
+    ("flows: [{src: 0, dst: 21, start: -2.0}]", "flows[0].start"),
+    ("critical_events: [{time: 1.0, x: 0.0, y: 0.0, radius: 5.0, emit_reports: 'no'}]",
+     "critical_events[0].emit_reports"),
 ])
 def test_non_finite_number_rejected(doc, field):
     with pytest.raises(ValidationError) as err:

@@ -386,11 +386,11 @@ def test_allocation_membership_matches_brute_force_quick():
 # cluster reports -----------------------------------------------------------
 
 def test_assign_clusters_picks_nearest_in_range_head():
-    positions = {0: (0.0, 0.0), 1: (10.0, 0.0), 10: (4.0, 0.0), 11: (100.0, 0.0)}
-    reach = lambda a, b: abs(positions[a][0] - positions[b][0]) <= 20.0
-    reports, orphans = assign_clusters([0, 1], [10, 11], positions, reach)
-    assert reports == {10: [0, 1], 11: []}
-    assert orphans == []
+    """A sensor with any cluster head in reach is not an orphan, whichever
+    head that is."""
+    links = {(0, 10), (1, 11)}
+    reach = lambda a, b: (a, b) in links
+    assert assign_clusters([1, 0], [10, 11], reach) == []
 
 
 def test_nearest_tie_goes_to_lowest_id():
@@ -400,19 +400,11 @@ def test_nearest_tie_goes_to_lowest_id():
     assert nearest((0.0, 0.0), [], positions) is None
 
 
-def test_assign_clusters_tie_goes_to_lowest_head_id():
-    positions = {0: (0.0, 0.0), 10: (-5.0, 0.0), 11: (5.0, 0.0)}
-    reports, orphans = assign_clusters([0], [11, 10], positions, lambda a, b: True)
-    assert reports == {10: [0], 11: []}
-    assert orphans == []
-
-
 def test_assign_clusters_flags_orphans():
-    positions = {0: (0.0, 0.0), 10: (500.0, 0.0)}
-    reach = lambda a, b: False
-    reports, orphans = assign_clusters([0], [10], positions, reach)
-    assert orphans == [0]
-    assert reports == {10: []}
+    """Orphans are the sensors with no cluster head in reach, ascending."""
+    reach = lambda a, b: (a, b) == (2, 10)
+    assert assign_clusters([3, 2, 0], [10], reach) == [0, 3]
+    assert assign_clusters([1, 0], [], reach) == [0, 1]
 
 
 def test_cross_cluster_best_importance_wins():

@@ -157,6 +157,71 @@ def test_purge_expired_returns_dead_packets():
     assert len(q) == 1
 
 
+class _ArrivalModel:
+    """Reference queue: numbers arrivals itself and ranks by (key, arrival)."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.arrival = {}
+        self.counter = 0
+
+    def ranked(self, key_fn):
+        return sorted(self.arrival, key=lambda p: (key_fn(p), self.arrival[p]))
+
+    def enqueue(self, packet, key_fn, now):
+        if now >= packet.deadline:
+            raise Expired
+        self.arrival[packet] = self.counter
+        self.counter += 1
+        if len(self.arrival) <= self.capacity:
+            return None
+        worst = self.ranked(key_fn)[-1]
+        del self.arrival[worst]
+        return worst
+
+    def purge_expired(self, now):
+        dead = [p for p in self.ranked(lambda p: 0) if now >= p.deadline]
+        for p in dead:
+            del self.arrival[p]
+        return dead
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(1, 4),
+       st.lists(st.tuples(st.sampled_from(["enq", "enq", "remove", "purge", "tick"]),
+                          st.integers(0, 5), st.integers(1, 3)), max_size=40))
+def test_queue_ranks_and_evicts_like_an_arrival_counter(capacity, ops):
+    """Random enqueue/remove/purge sequences: the queue ranks, evicts and
+    purges exactly as a model that keeps its own arrival counter."""
+    q, model = NodeQueue(capacity), _ArrivalModel(capacity)
+    now = 0.0
+    for pid, (op, a, m) in enumerate(ops):
+        # few distinct keys, so ties are common, and a key that shifts
+        # between operations, as laxity does
+        key_fn = lambda p, m=m: GATE_SENTINEL if p.id % 7 == 6 else (p.id * 5 + m) % (m + 1)
+        if op == "enq":
+            p = _packet(pid=pid, deadline=now + a)
+            try:
+                evicted = q.enqueue(p, key_fn, now)
+            except Expired:
+                evicted = Expired
+            try:
+                expected = model.enqueue(p, key_fn, now)
+            except Expired:
+                expected = Expired
+            assert evicted is expected
+        elif op == "remove" and len(model.arrival):
+            victim = model.ranked(key_fn)[a % len(model.arrival)]
+            q.remove(victim)
+            del model.arrival[victim]
+        elif op == "purge":
+            assert q.purge_expired(now) == model.purge_expired(now)
+        elif op == "tick":
+            now += a / 2
+        assert q.sorted_items(key_fn) == model.ranked(key_fn)
+        assert q.best_key(key_fn) == min(map(key_fn, model.arrival), default=None)
+
+
 # delivery-ratio tracker ------------------------------------------------------
 
 def test_tracker_is_one_before_any_outcome():
