@@ -6,7 +6,9 @@ plus 1000 nodes at the stock 250 m range for 20 s, seeds 1-2 x both schemes.
 The `mwsnsim` package is imported from --src. One line per run is printed:
 the run, its trace hash, one `kind:hash` pair per record kind (the hash of
 that kind's lines alone), then `|` and the run's totals: final deliveries
-(`rx` records with `fin` 1) and drops by cause:
+(`rx` records with `fin` 1) and drops by cause. Each scenario's resolved
+config, `cfg.to_yaml()` as `run_header.txt` embeds it, is hashed too, on a
+line `config/<name> <hash>` before its runs:
 
     python benchmarks/trace_identity.py --src /path/to/src
 
@@ -14,7 +16,9 @@ With --against, the same set is also hashed under a second tree, in a
 separate process running alongside; each run whose hash differs, or that
 only one tree produced, is printed with the record kinds (`hdr`, `tx`,
 `end`, ...) whose lines differ, and the exit status is 1 when there is any
-such run. When any run differs, the totals of every scenario and scheme,
+such run; a scenario whose config hash differs is printed as
+`DIFFERS config/<name>` and also sets the exit status to 1. When any run
+differs, the totals of every scenario and scheme,
 summed over its seeds, are printed for both trees:
 
     python benchmarks/trace_identity.py --against /path/to/parent/src
@@ -103,7 +107,8 @@ def totals(trace: list[dict]) -> Counter:
 def trace_hashes(src: str):
     """Yield (run name, sha256 of its trace, {record kind: sha256 of that
     kind's lines}, totals) for every run, importing mwsnsim from the src
-    tree."""
+    tree; before a scenario's runs, yield (`config/<name>`, sha256 of its
+    resolved config, {}, no totals)."""
     sys.path.insert(0, os.path.abspath(src))
     from mwsnsim.config import load_config, validate_config
     from mwsnsim.engine import Simulation, trace_to_jsonl
@@ -111,6 +116,7 @@ def trace_hashes(src: str):
     for name, (source, seeds) in RUN_SET.items():
         cfg = (load_config(os.path.join(CONFIG_DIR, source)) if isinstance(source, str)
                else validate_config(source))
+        yield f"config/{name}", _sha256(cfg.to_yaml()), {}, Counter()
         for seed in seeds:
             for scheme in SCHEMES:
                 trace = Simulation(cfg, seed=seed, scheme=scheme).run()
@@ -123,10 +129,16 @@ def trace_hashes(src: str):
                        totals(trace))
 
 
+def _is_config(run: str) -> bool:
+    return run.startswith("config/")
+
+
 def _group_totals(runs: dict) -> dict[str, Counter]:
     """Totals summed per scenario and scheme (`stock/mdlps`) over seeds."""
     out: dict[str, Counter] = {}
     for run, (_, _, counts) in runs.items():
+        if _is_config(run):
+            continue
         name, _, scheme = run.split("/")
         out.setdefault(f"{name}/{scheme}", Counter()).update(counts)
     return out
@@ -153,7 +165,7 @@ def main() -> int:
         return 1
     theirs = {}
     for line in out.splitlines():
-        fields, _, counts = line.partition(" | ")
+        fields, _, counts = line.partition("|")
         run, digest, *pairs = fields.split()
         theirs[run] = (digest, dict(pair.split(":") for pair in pairs),
                        Counter({k: int(v) for k, v in (c.split("=") for c in counts.split())}))
@@ -163,14 +175,19 @@ def main() -> int:
     for run in differ:
         (a, ak, _), (b, bk, _) = ours.get(run, missing), theirs.get(run, missing)
         kinds = ",".join(sorted(k for k in ak.keys() | bk.keys() if ak.get(k) != bk.get(k)))
-        print(f"DIFFERS {run}: {a} (--src) {b} (--against) kinds {kinds}")
-    if differ:
+        print(f"DIFFERS {run}: {a} (--src) {b} (--against)"
+              + ("" if _is_config(run) else f" kinds {kinds}"))
+    runs_differ = [run for run in differ if not _is_config(run)]
+    if runs_differ:
         ours_totals, theirs_totals = _group_totals(ours), _group_totals(theirs)
         for group in sorted(ours_totals.keys() | theirs_totals.keys()):
             a, b = ours_totals.get(group, Counter()), theirs_totals.get(group, Counter())
             print(f"TOTALS {group} (--against -> --src):",
                   ", ".join(f"{k} {b[k]} -> {a[k]}" for k in sorted(a.keys() | b.keys())))
-    print(f"{len(ours)} runs under --src, {len(theirs)} under --against, {len(differ)} differ")
+    n_src, n_against = (sum(not _is_config(run) for run in side) for side in (ours, theirs))
+    print(f"{n_src} runs under --src, {n_against} under --against, "
+          f"{len(runs_differ)} differ; {len(differ) - len(runs_differ)} of "
+          f"{len(RUN_SET)} configs differ")
     return 1 if differ else 0
 
 

@@ -25,7 +25,10 @@ from .metrics import METRIC_FUNCTIONS
 def _parse_seeds(text: str) -> list[int]:
     """Either a comma-separated list ('1,2,7') or a count ('5' -> seeds 1..5)."""
     if "," in text:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        seeds = [int(tok) for tok in text.split(",") if tok.strip()]
+        if any(seed < 0 for seed in seeds):
+            raise ValueError("seeds must be >= 0")
+        return seeds
     count = int(text)
     if count < 1:
         raise ValueError("seed count must be >= 1")

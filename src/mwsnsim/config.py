@@ -4,6 +4,9 @@ An empty document resolves to the stock 22-node scenario (2000 x 2000 m
 terrain, 100 s session, queue 50, 50 J initial energy, 1000 B packets every
 0.5 s). Every field is overridable; validation errors name the offending
 field. The resolved form round-trips: load(emit(cfg)) == cfg.
+
+SCHEMA holds each field's default and rule, `_entry_schemas` those of the
+keys of list entries, and `_validate` adds the rules relating two fields.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import copy
 import io
 import math
-from typing import Any
+from typing import Any, Callable
 
 import yaml
 
@@ -28,78 +31,170 @@ class ValidationError(Exception):
         super().__init__(f"{field}: {message}")
 
 
-DEFAULTS: dict[str, Any] = {
-    "terrain_area": {"width": 2000.0, "height": 2000.0},
-    "node_count": 22,
-    "cluster_heads": 3,
-    "base_stations": 1,
-    "session_duration": 100.0,
-    "queue_size": 50,
-    "initial_energy": 50.0,
-    "packet_size": 1000,
-    "cbr_interval": 0.5,
-    "flow_count": 10,
-    "scheduler": "mdlps",
-    "seed": 1,
-    "grid": {
-        "frequencies": 4,
-        "slots_per_frame": 5,
-        "frame_length": 0.5,
-    },
-    "flow": {
-        "desired_pdr": 0.9,
-        "pdr_threshold": 0.25,
-        "deadline_budget": 5.0,
-        "pdr_window": 20,
-    },
-    "radio": {
-        "frequency": 914e6,
-        "tx_power": 0.28183815,
-        "tx_gain": 1.0,
-        "rx_gain": 1.0,
-        "antenna_height_tx": 1.5,
-        "antenna_height_rx": 1.5,
-        "system_loss": 1.0,
-        "nominal_range": 250.0,
-    },
-    "energy": {
-        "tx_power": 0.6,
-        "rx_power": 0.3,
-        "idle_power": 0.0,
-        "link_rate": 1e6,
-        "battery_threshold": 10.0,
-        "battery_levels": 3,
-        "level_penalty": 0.25,
-    },
-    "mobility": {
-        "speed_min": 1.0,
-        "speed_max": 20.0,
-        "pause_time": 2.0,
-        "controlled_speed_cap": 2.0,
-        "patrol_radius": 200.0,
-        "class_thresholds": [5.0, 15.0],
-    },
-    "options": {
-        "velocity_floor": 0.1,
-        "gate_mode": "sentinel",       # or "drop"
-        "density_weight": 0.7,
-        "bandwidth_weight": 0.3,
-        "orphan_policy": "contend",    # or "exclude"
-    },
+# A rule is a predicate on one value and what it demands of it.
+Rule = tuple[Callable[[Any], bool], str]
+
+
+def _is_int(v) -> bool:
+    """An int (YAML's true and false are not integers here)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_num(v) -> bool:
+    """A finite int or float (YAML's .inf and .nan are not numbers here)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _integer(lo: int, hi: float = math.inf) -> Rule:
+    """An integer in [lo, hi)."""
+    span = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi})"
+    return (lambda v: _is_int(v) and lo <= v < hi), f"must be an integer {span}"
+
+
+def _number(lo: float, hi: float = math.inf, ends: str = "[)") -> Rule:
+    """A finite number between lo and hi; `ends` says which bounds are
+    allowed, as in the interval notation "(0, 1]"."""
+    low_in, high_in = ends[0] == "[", ends[1] == "]"
+
+    def ok(v) -> bool:
+        return (_is_num(v) and (lo <= v if low_in else lo < v)
+                and (v <= hi if high_in else v < hi))
+    return ok, f"must be a number in {ends[0]}{lo:g}, {hi:g}{ends[1]}"
+
+
+def _one_of(*choices) -> Rule:
+    return (lambda v: v in choices), "must be one of " + ", ".join(map(repr, choices))
+
+
+def _or_null(rule: Rule) -> Rule:
+    ok, demand = rule
+    return (lambda v: v is None or ok(v)), f"{demand} or null"
+
+
+_ANY: Rule = ((lambda v: True), "")
+_BOOL: Rule = ((lambda v: isinstance(v, bool)), "must be true or false")
+_NUMBER: Rule = (_is_num, "must be a finite number")
+_POSITIVE = _number(0, ends="()")
+_NON_NEGATIVE = _number(0)
+_LIST: Rule = ((lambda v: isinstance(v, list)), "must be a list")
+# the default of an entry key that every entry must give
+_REQUIRED = object()
+
+# dotted field path -> (default, rule); checked in this order
+SCHEMA: dict[str, tuple[Any, Rule]] = {
+    "node_count": (22, _integer(2)),
+    "cluster_heads": (3, _integer(0)),
+    "base_stations": (1, _integer(1)),
+    "terrain_area.width": (2000.0, _POSITIVE),
+    "terrain_area.height": (2000.0, _POSITIVE),
+    "session_duration": (100.0, _POSITIVE),
+    "queue_size": (50, _integer(1)),
+    "initial_energy": (50.0, _POSITIVE),
+    "packet_size": (1000, _integer(1)),
+    "cbr_interval": (0.5, _POSITIVE),
+    "flow_count": (10, _integer(0)),
+    "scheduler": ("mdlps", _one_of("mdlps", "data")),
+    # numpy's SeedSequence takes only non-negative entropy
+    "seed": (1, _integer(0)),
+    "grid.frequencies": (4, _integer(1)),
+    "grid.slots_per_frame": (5, _integer(1)),
+    "grid.frame_length": (0.5, _POSITIVE),
+    "flow.desired_pdr": (0.9, _number(0, 1, "(]")),
+    "flow.pdr_threshold": (0.25, _number(0, 1, "[)")),
+    "flow.deadline_budget": (5.0, _POSITIVE),
+    "flow.pdr_window": (20, _integer(1)),
+    "radio.frequency": (914e6, _POSITIVE),
+    "radio.tx_power": (0.28183815, _POSITIVE),
+    "radio.tx_gain": (1.0, _POSITIVE),
+    "radio.rx_gain": (1.0, _POSITIVE),
+    "radio.antenna_height_tx": (1.5, _POSITIVE),
+    "radio.antenna_height_rx": (1.5, _POSITIVE),
+    "radio.system_loss": (1.0, _number(1)),
+    "radio.nominal_range": (250.0, _POSITIVE),
+    "energy.tx_power": (0.6, _NON_NEGATIVE),
+    "energy.rx_power": (0.3, _NON_NEGATIVE),
+    "energy.idle_power": (0.0, _NON_NEGATIVE),
+    "energy.link_rate": (1e6, _POSITIVE),
+    "energy.battery_threshold": (10.0, _POSITIVE),
+    "energy.battery_levels": (3, _integer(1)),
+    "energy.level_penalty": (0.25, _NON_NEGATIVE),
+    "mobility.speed_min": (1.0, _POSITIVE),
+    # checked with speed_min, the field a bad speed_max names
+    "mobility.speed_max": (20.0, _ANY),
+    "mobility.pause_time": (2.0, _NON_NEGATIVE),
+    "mobility.controlled_speed_cap": (2.0, _POSITIVE),
+    "mobility.patrol_radius": (200.0, _NON_NEGATIVE),
+    "mobility.class_thresholds": ([5.0, 15.0], (
+        lambda ct: (isinstance(ct, (list, tuple)) and len(ct) == 2
+                    and all(_is_num(v) for v in ct) and 0 <= ct[0] < ct[1]),
+        "must be [v1, v2] with 0 <= v1 < v2")),
+    "options.velocity_floor": (0.1, _POSITIVE),
+    "options.gate_mode": ("sentinel", _one_of("sentinel", "drop")),
+    "options.density_weight": (0.7, _NON_NEGATIVE),
+    "options.bandwidth_weight": (0.3, _NON_NEGATIVE),
+    "options.orphan_policy": ("contend", _one_of("contend", "exclude")),
     # critical events: list of {time, x, y, radius, reporter, emit_reports}
     # null means the single default event at terrain center, t=10 s, r=400 m
-    "critical_events": None,
+    "critical_events": (None, _or_null(_LIST)),
     # networks: list of {id, bandwidth, members}; null means one network
     # spanning every node
-    "networks": None,
+    "networks": (None, ((lambda v: v is None or (isinstance(v, list) and len(v) > 0)),
+                        "must be a non-empty list or null")),
     # flows: explicit list of {id, src, dst, interval, start, stop,
     # importance_override}; null means flow_count sensor->sink flows with
     # sources sampled from the traffic stream
-    "flows": None,
+    "flows": (None, _or_null(_LIST)),
     # node_placement: list of [x, y] per node for scripted scenarios;
     # null means uniform random placement from the placement stream
-    "node_placement": None,
+    "node_placement": (None, _or_null(_LIST)),
 }
+
+
+def _nest_defaults() -> dict[str, Any]:
+    out: dict[str, Any] = {}
+    for path, (default, _) in SCHEMA.items():
+        section, _, key = path.rpartition(".")
+        (out.setdefault(section, {}) if section else out)[key] = default
+    return out
+
+
+DEFAULTS = _nest_defaults()
+
+
+def _entry_schemas(d: dict[str, Any], n_sensors: int) -> dict[str, dict[str, tuple[Any, Rule]]]:
+    """List name -> entry key -> (default, rule), given the checked scalars
+    of `d`. A callable default takes the entry's index."""
+    session = d["session_duration"]
+    node = _integer(0, d["node_count"])
+    is_node, _ = node
+    return {
+        "critical_events": {
+            "time": (_REQUIRED, _number(0, session, "[]")),
+            "x": (_REQUIRED, _NUMBER),
+            "y": (_REQUIRED, _NUMBER),
+            "radius": (_REQUIRED, _POSITIVE),
+            # sensors are node ids 0 .. n_sensors-1
+            "reporter": (None, _or_null(_integer(0, n_sensors))),
+            "emit_reports": (True, _BOOL),
+        },
+        "networks": {
+            "id": (_REQUIRED, _ANY),
+            "bandwidth": (_REQUIRED, _POSITIVE),
+            "members": (_REQUIRED, (
+                lambda v: isinstance(v, list) and len(v) > 0 and all(is_node(nm) for nm in v),
+                f"must be a non-empty list of node ids in [0, {d['node_count']})")),
+        },
+        "flows": {
+            "id": ((lambda i: f"flow{i}"), _ANY),
+            "src": (_REQUIRED, node),
+            "dst": (_REQUIRED, node),
+            "interval": (d["cbr_interval"], _POSITIVE),
+            # a negative start would schedule packets before the clock
+            "start": (0.0, _NON_NEGATIVE),
+            "stop": (session, _number(0, session, "(]")),
+            "importance_override": (None, _or_null(_number(0, 1, "(]"))),
+        },
+    }
 
 
 def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
@@ -122,9 +217,25 @@ def _require(cond: bool, field: str, message: str) -> None:
         raise ValidationError(field, message)
 
 
-def _is_num(v) -> bool:
-    """A finite int or float (YAML's .inf and .nan are not numbers here)."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+def _check(rule: Rule, value: Any, field: str) -> None:
+    ok, demand = rule
+    if not ok(value):
+        raise ValidationError(field, f"{demand}, got {value!r}")
+
+
+def _check_entries(entries: list, name: str, schema: dict[str, tuple[Any, Rule]]) -> None:
+    """Fill each entry of list `name` with its defaults and check every key
+    against its rule, in place."""
+    for i, entry in enumerate(entries):
+        where = f"{name}[{i}]"
+        _require(isinstance(entry, dict), where, "must be a mapping")
+        for key in entry:
+            _require(key in schema, f"{where}.{key}", "unknown field")
+        for key, (default, rule) in schema.items():
+            if key not in entry:
+                _require(default is not _REQUIRED, f"{where}.{key}", "required field")
+                entry[key] = default(i) if callable(default) else default
+            _check(rule, entry[key], f"{where}.{key}")
 
 
 class ScenarioConfig:
@@ -177,177 +288,61 @@ class ScenarioConfig:
 
 
 def _validate(d: dict[str, Any]) -> dict[str, Any]:
-    _require(isinstance(d["node_count"], int) and d["node_count"] >= 2,
-             "node_count", f"must be an integer >= 2, got {d['node_count']}")
-    _require(isinstance(d["cluster_heads"], int) and d["cluster_heads"] >= 0,
-             "cluster_heads", "must be a non-negative integer")
-    _require(isinstance(d["base_stations"], int) and d["base_stations"] >= 1,
-             "base_stations", "must be a positive integer")
-    _require(d["cluster_heads"] + d["base_stations"] < d["node_count"],
-             "node_count", "must exceed cluster_heads + base_stations")
-    for fld in ("width", "height"):
-        _require(_is_num(d["terrain_area"][fld]) and d["terrain_area"][fld] > 0,
-                 f"terrain_area.{fld}", "must be positive")
-    _require(_is_num(d["session_duration"]) and d["session_duration"] > 0,
-             "session_duration", "must be positive")
-    _require(isinstance(d["queue_size"], int) and d["queue_size"] >= 1,
-             "queue_size", "must be an integer >= 1")
-    _require(_is_num(d["initial_energy"]) and d["initial_energy"] > 0,
-             "initial_energy", "must be positive")
-    _require(isinstance(d["packet_size"], int) and d["packet_size"] >= 1,
-             "packet_size", "must be an integer >= 1")
-    _require(_is_num(d["cbr_interval"]) and d["cbr_interval"] > 0,
-             "cbr_interval", "must be positive")
-    _require(isinstance(d["flow_count"], int) and d["flow_count"] >= 0,
-             "flow_count", "must be a non-negative integer")
+    for path, (_, rule) in SCHEMA.items():
+        section, _, key = path.rpartition(".")
+        _check(rule, (d[section] if section else d)[key], path)
+
+    n = d["node_count"]
+    n_sensors = n - d["cluster_heads"] - d["base_stations"]
+    _require(n_sensors > 0, "node_count", "must exceed cluster_heads + base_stations")
     if d["flows"] is None:
-        n_sensors = d["node_count"] - d["cluster_heads"] - d["base_stations"]
         _require(d["flow_count"] <= n_sensors,
                  "flow_count", f"must not exceed the sensor count ({n_sensors})")
-    _require(d["scheduler"] in ("mdlps", "data"),
-             "scheduler", f"must be 'mdlps' or 'data', got {d['scheduler']!r}")
-    _require(isinstance(d["seed"], int), "seed", "must be an integer")
-
-    g = d["grid"]
-    for fld in ("frequencies", "slots_per_frame"):
-        _require(isinstance(g[fld], int) and g[fld] >= 1, f"grid.{fld}", "must be an integer >= 1")
-    _require(_is_num(g["frame_length"]) and g["frame_length"] > 0,
-             "grid.frame_length", "must be positive")
-
-    f = d["flow"]
-    _require(_is_num(f["desired_pdr"]) and 0 < f["desired_pdr"] <= 1,
-             "flow.desired_pdr", "must lie in (0, 1]")
-    _require(_is_num(f["pdr_threshold"]) and 0 <= f["pdr_threshold"] < 1,
-             "flow.pdr_threshold", "must lie in [0, 1)")
+    f, e, m, o = d["flow"], d["energy"], d["mobility"], d["options"]
     _require(f["desired_pdr"] > f["pdr_threshold"],
              "flow.desired_pdr", "must exceed flow.pdr_threshold")
-    _require(_is_num(f["deadline_budget"]) and f["deadline_budget"] > 0,
-             "flow.deadline_budget", "must be positive")
-    _require(isinstance(f["pdr_window"], int) and f["pdr_window"] >= 1,
-             "flow.pdr_window", "must be an integer >= 1")
-
-    r = d["radio"]
-    for fld in ("frequency", "tx_power", "tx_gain", "rx_gain", "antenna_height_tx",
-                "antenna_height_rx", "nominal_range"):
-        _require(_is_num(r[fld]) and r[fld] > 0, f"radio.{fld}", "must be positive")
-    _require(_is_num(r["system_loss"]) and r["system_loss"] >= 1,
-             "radio.system_loss", "must be >= 1")
-
-    e = d["energy"]
-    for fld in ("tx_power", "rx_power", "idle_power"):
-        _require(_is_num(e[fld]) and e[fld] >= 0, f"energy.{fld}", "must be non-negative")
     _require(e["tx_power"] >= e["rx_power"] >= e["idle_power"],
              "energy.tx_power", "need tx_power >= rx_power >= idle_power")
-    _require(_is_num(e["link_rate"]) and e["link_rate"] > 0,
-             "energy.link_rate", "must be positive")
-    _require(_is_num(e["battery_threshold"]) and 0 < e["battery_threshold"] < d["initial_energy"],
+    _require(e["battery_threshold"] < d["initial_energy"],
              "energy.battery_threshold", "must lie strictly between 0 and initial_energy")
-    _require(isinstance(e["battery_levels"], int) and e["battery_levels"] >= 1,
-             "energy.battery_levels", "must be an integer >= 1")
-    _require(_is_num(e["level_penalty"]) and e["level_penalty"] >= 0,
-             "energy.level_penalty", "must be non-negative")
-
-    m = d["mobility"]
-    _require(_is_num(m["speed_min"]) and _is_num(m["speed_max"])
-             and 0 < m["speed_min"] <= m["speed_max"],
+    _require(_is_num(m["speed_max"]) and m["speed_min"] <= m["speed_max"],
              "mobility.speed_min", "need 0 < speed_min <= speed_max")
-    _require(_is_num(m["pause_time"]) and m["pause_time"] >= 0,
-             "mobility.pause_time", "must be non-negative")
-    _require(_is_num(m["controlled_speed_cap"]) and 0 < m["controlled_speed_cap"] < m["speed_max"],
+    _require(m["controlled_speed_cap"] < m["speed_max"],
              "mobility.controlled_speed_cap", "must lie strictly between 0 and speed_max")
-    _require(_is_num(m["patrol_radius"]) and m["patrol_radius"] >= 0,
-             "mobility.patrol_radius", "must be non-negative")
-    ct = m["class_thresholds"]
-    _require(isinstance(ct, (list, tuple)) and len(ct) == 2 and all(_is_num(v) for v in ct)
-             and 0 <= ct[0] < ct[1],
-             "mobility.class_thresholds", "must be [v1, v2] with 0 <= v1 < v2")
-
-    o = d["options"]
-    _require(_is_num(o["velocity_floor"]) and o["velocity_floor"] > 0,
-             "options.velocity_floor", "must be positive")
-    _require(o["gate_mode"] in ("sentinel", "drop"),
-             "options.gate_mode", "must be 'sentinel' or 'drop'")
-    for fld in ("density_weight", "bandwidth_weight"):
-        _require(_is_num(o[fld]) and o[fld] >= 0, f"options.{fld}", "must be non-negative")
     _require(o["density_weight"] + o["bandwidth_weight"] > 0,
              "options.density_weight", "weights must not both be zero")
-    _require(o["orphan_policy"] in ("contend", "exclude"),
-             "options.orphan_policy", "must be 'contend' or 'exclude'")
 
-    if d["critical_events"] is not None:
-        _require(isinstance(d["critical_events"], list), "critical_events", "must be a list or null")
-        for i, ev in enumerate(d["critical_events"]):
-            where = f"critical_events[{i}]"
-            _require(isinstance(ev, dict), where, "must be a mapping")
-            for fld in ("time", "x", "y", "radius"):
-                _require(fld in ev and _is_num(ev[fld]), f"{where}.{fld}", "required numeric field")
-            _require(ev["radius"] > 0, f"{where}.radius", "must be positive")
-            _require(0 <= ev["time"] <= d["session_duration"],
-                     f"{where}.time", "must lie within the session")
-            ev.setdefault("reporter", None)
-            ev.setdefault("emit_reports", True)
-            _require(isinstance(ev["emit_reports"], bool),
-                     f"{where}.emit_reports", "must be true or false")
-            if ev["reporter"] is not None:
-                _require(isinstance(ev["reporter"], int) and 0 <= ev["reporter"] < d["node_count"],
-                         f"{where}.reporter", "must be a valid node id")
-
+    for name, schema in _entry_schemas(d, n_sensors).items():
+        if d[name] is not None:
+            _check_entries(d[name], name, schema)
+    for i, fl in enumerate(d["flows"] or ()):
+        _require(fl["src"] != fl["dst"], f"flows[{i}].dst", "must differ from src")
+        _require(fl["start"] < fl["stop"], f"flows[{i}].stop", "need start < stop")
+    # the engine keys flows and networks by these strings; a repeat would
+    # hide a flow or merge two networks' ranks
+    for name in ("flows", "networks"):
+        seen_ids: set[str] = set()
+        for i, entry in enumerate(d[name] or ()):
+            _require(str(entry["id"]) not in seen_ids,
+                     f"{name}[{i}].id", f"repeats id {entry['id']!r}")
+            seen_ids.add(str(entry["id"]))
     if d["networks"] is not None:
-        _require(isinstance(d["networks"], list) and d["networks"], "networks", "must be a non-empty list or null")
         seen_members: set[int] = set()
         for i, net in enumerate(d["networks"]):
-            where = f"networks[{i}]"
-            _require(isinstance(net, dict) and "id" in net, where, "must be a mapping with an id")
-            _require(_is_num(net.get("bandwidth", 0)) and net.get("bandwidth", 0) > 0,
-                     f"{where}.bandwidth", "must be positive")
-            members = net.get("members")
-            _require(isinstance(members, list) and members, f"{where}.members", "must be a non-empty list")
-            for nm in members:
-                _require(isinstance(nm, int) and 0 <= nm < d["node_count"],
-                         f"{where}.members", f"invalid node id {nm}")
-                _require(nm not in seen_members, f"{where}.members", f"node {nm} listed twice")
+            for nm in net["members"]:
+                _require(nm not in seen_members, f"networks[{i}].members", f"node {nm} listed twice")
                 seen_members.add(nm)
-        _require(seen_members == set(range(d["node_count"])),
+        _require(seen_members == set(range(n)),
                  "networks", "members must cover every node exactly once")
 
-    if d["flows"] is not None:
-        _require(isinstance(d["flows"], list), "flows", "must be a list or null")
-        seen_ids: set[str] = set()
-        for i, fl in enumerate(d["flows"]):
-            where = f"flows[{i}]"
-            _require(isinstance(fl, dict), where, "must be a mapping")
-            for fld in ("src", "dst"):
-                _require(isinstance(fl.get(fld), int) and 0 <= fl[fld] < d["node_count"],
-                         f"{where}.{fld}", "must be a valid node id")
-            _require(fl["src"] != fl["dst"], f"{where}.dst", "must differ from src")
-            fl.setdefault("id", f"flow{i}")
-            # the engine keys flows by this string; a repeat would hide a flow
-            _require(str(fl["id"]) not in seen_ids, f"{where}.id", f"repeats flow id {fl['id']!r}")
-            seen_ids.add(str(fl["id"]))
-            fl.setdefault("interval", d["cbr_interval"])
-            fl.setdefault("start", 0.0)
-            fl.setdefault("stop", d["session_duration"])
-            fl.setdefault("importance_override", None)
-            _require(_is_num(fl["interval"]) and fl["interval"] > 0, f"{where}.interval", "must be positive")
-            # a negative start would schedule packets before the clock
-            _require(_is_num(fl["start"]) and fl["start"] >= 0,
-                     f"{where}.start", "must be non-negative")
-            _require(_is_num(fl["stop"]) and fl["start"] < fl["stop"] <= d["session_duration"],
-                     f"{where}.stop", "need start < stop <= session_duration")
-            if fl["importance_override"] is not None:
-                _require(_is_num(fl["importance_override"]) and 0 < fl["importance_override"] <= 1,
-                         f"{where}.importance_override", "must lie in (0, 1]")
-
-    if d["node_placement"] is not None:
-        pl = d["node_placement"]
-        _require(isinstance(pl, list) and len(pl) == d["node_count"],
-                 "node_placement", f"must list exactly node_count ({d['node_count']}) positions")
+    pl = d["node_placement"]
+    if pl is not None:
+        _require(len(pl) == n, "node_placement", f"must list exactly node_count ({n}) positions")
+        in_x, _ = _number(0, d["terrain_area"]["width"], "[]")
+        in_y, _ = _number(0, d["terrain_area"]["height"], "[]")
         for i, xy in enumerate(pl):
-            ok = (isinstance(xy, (list, tuple)) and len(xy) == 2
-                  and all(_is_num(v) for v in xy)
-                  and 0 <= xy[0] <= d["terrain_area"]["width"]
-                  and 0 <= xy[1] <= d["terrain_area"]["height"])
-            _require(ok, f"node_placement[{i}]", "must be [x, y] inside the terrain")
+            _require(isinstance(xy, (list, tuple)) and len(xy) == 2 and in_x(xy[0]) and in_y(xy[1]),
+                     f"node_placement[{i}]", "must be [x, y] inside the terrain")
     return d
 
 

@@ -577,8 +577,8 @@ class Simulation:
         self.trace.append({"k": "crit", "t": t, "ev": idx, "x": x, "y": y, "r": r})
         self.active_events.append((x, y, r))
         positions = self._position_map(t)
-        if ev_cfg.get("emit_reports", True):
-            reporter = ev_cfg.get("reporter")
+        if ev_cfg["emit_reports"]:
+            reporter = ev_cfg["reporter"]
             for node in self.sensor_ids:
                 if node == reporter:
                     imp = 1.0

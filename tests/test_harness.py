@@ -11,6 +11,7 @@ from mwsnsim.cli import main as cli_main
 from mwsnsim.config import (
     ParseError,
     ValidationError,
+    load_config,
     loads_config,
     validate_config,
 )
@@ -24,6 +25,15 @@ from mwsnsim.harness import (
     throughput_vs_connections,
 )
 from mwsnsim.mobility import make_leg
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+
+
+def _two_networks(first: str, second: str) -> str:
+    """Two networks splitting the stock 22 nodes; `first` and `second` give
+    each entry's id and any further keys."""
+    return (f"networks: [{{{first}, bandwidth: 1.0e+6, members: {list(range(11))}}}, "
+            f"{{{second}, bandwidth: 1.0e+6, members: {list(range(11, 22))}}}]")
 
 
 # configuration ----------------------------------------------------------------
@@ -102,11 +112,38 @@ def test_repeated_flow_id_rejected(flows):
     ("flows: [{src: 0, dst: 21, start: -2.0}]", "flows[0].start"),
     ("critical_events: [{time: 1.0, x: 0.0, y: 0.0, radius: 5.0, emit_reports: 'no'}]",
      "critical_events[0].emit_reports"),
+    # booleans where an integer belongs
+    ("cluster_heads: true", "cluster_heads"),
+    ("queue_size: true", "queue_size"),
+    ("grid: {frequencies: true}", "grid.frequencies"),
+    ("seed: true", "seed"),
+    ("flows: [{src: true, dst: 21}]", "flows[0].src"),
+    ("critical_events: [{time: 1.0, x: 0.0, y: 0.0, radius: 5.0, reporter: true}]",
+     "critical_events[0].reporter"),
+    # numpy seeds only from non-negative entropy
+    ("seed: -1", "seed"),
+    # node 18 is a cluster head, and only sensors report
+    ("critical_events: [{time: 1.0, x: 0.0, y: 0.0, radius: 5.0, reporter: 18}]",
+     "critical_events[0].reporter"),
+    # list entries reject unknown keys, as sections do
+    ("flows: [{src: 0, dst: 21, intreval: 1.0}]", "flows[0].intreval"),
+    ("critical_events: [{time: 1.0, x: 0.0, y: 0.0, radius: 5.0, reportr: 3}]",
+     "critical_events[0].reportr"),
+    (_two_networks("id: a, bandwith: 1.0e+6", "id: b"), "networks[0].bandwith"),
+    # network ids repeated, also after str()
+    (_two_networks("id: a", "id: a"), "networks[1].id"),
+    (_two_networks("id: 1", "id: '1'"), "networks[1].id"),
 ])
 def test_non_finite_number_rejected(doc, field):
     with pytest.raises(ValidationError) as err:
         loads_config(doc)
     assert err.value.field == field
+
+
+def test_shipped_configs_load_and_stock_is_the_empty_document():
+    for name in sorted(os.listdir(CONFIG_DIR)):
+        load_config(os.path.join(CONFIG_DIR, name))
+    assert load_config(os.path.join(CONFIG_DIR, "stock.yaml")) == validate_config({})
 
 
 def test_malformed_yaml_is_parse_error():
@@ -510,6 +547,15 @@ def test_cli_seed_list_parsing(tmp_path):
     lines = (out / "summary.csv").read_text().splitlines()
     assert len(lines) == 3
     assert not any(name.startswith("trace_") for name in os.listdir(out))
+
+
+def test_cli_rejects_negative_seed_before_any_run(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = cli_main(["run", "--seeds=-1,2", "--out", str(out), "--no-traces",
+                     "--config", str(_write_fast_cfg(tmp_path))])
+    assert code == 2
+    assert "ValueError" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _write_fast_cfg(tmp_path):
