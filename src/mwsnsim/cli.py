@@ -22,13 +22,13 @@ from .harness import FailedRun, replay_metric, run_experiment, throughput_vs_con
 from .metrics import METRIC_FUNCTIONS
 
 
-def _parse_seeds(text: str) -> list[int]:
-    """Either a comma-separated list ('1,2,7') or a count ('5' -> seeds 1..5)."""
+def _parse_seeds(text: str | None, config_seed: int) -> list[int]:
+    """A comma-separated list ('1,2,7'), a count ('5' -> seeds 1..5), or
+    the config's own seed when the flag is omitted."""
+    if text is None:
+        return [config_seed]
     if "," in text:
-        seeds = [int(tok) for tok in text.split(",") if tok.strip()]
-        if any(seed < 0 for seed in seeds):
-            raise ValueError("seeds must be >= 0")
-        return seeds
+        return [int(tok) for tok in text.split(",") if tok.strip()]
     count = int(text)
     if count < 1:
         raise ValueError("seed count must be >= 1")
@@ -46,14 +46,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", help="scenario YAML; omit for stock defaults")
     p_run.add_argument("--scheduler", choices=["mdlps", "data", "both"], default=None,
                        help="scheme to run; 'both' pairs the schemes per seed")
-    p_run.add_argument("--seeds", default="1", help="comma list ('1,2,7') or count ('5')")
+    p_run.add_argument("--seeds", help="comma list ('1,2,7') or count ('5'); "
+                       "omit for the config's seed")
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument("--no-traces", action="store_true", help="skip trace files")
 
     p_sweep = sub.add_parser("sweep-connections", help="throughput vs connection count")
     p_sweep.add_argument("--config", help="scenario YAML; omit for stock defaults")
     p_sweep.add_argument("--max-n", type=int, required=True, help="sweep 1..max-n connections")
-    p_sweep.add_argument("--seeds", default="1", help="comma list or count")
+    p_sweep.add_argument("--seeds", help="comma list or count; omit for the config's seed")
     p_sweep.add_argument("--scheduler", choices=["mdlps", "data"], default=None)
     p_sweep.add_argument("--out", required=True, help="output directory")
 
@@ -71,7 +72,7 @@ def main(argv: list[str] | None = None) -> int:
             cfg = load_config(args.config) if args.config else validate_config({})
             scheduler = args.scheduler or cfg.scheduler
             schemes = ["mdlps", "data"] if scheduler == "both" else [scheduler]
-            seeds = _parse_seeds(args.seeds)
+            seeds = _parse_seeds(args.seeds, cfg["seed"])
             reports = run_experiment(cfg, seeds, schemes, out_dir=args.out,
                                      write_traces=not args.no_traces)
             print(f"wrote {len(reports)} run(s) to {args.out}")
@@ -84,7 +85,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.max_n < 1:
                 raise ValueError("--max-n must be >= 1")
             series = throughput_vs_connections(
-                cfg, list(range(1, args.max_n + 1)), _parse_seeds(args.seeds),
+                cfg, list(range(1, args.max_n + 1)), _parse_seeds(args.seeds, cfg["seed"]),
                 scheme=args.scheduler, out_dir=args.out)
             for n, v in series:
                 print(f"{n}\t{v:.3f} kbit/s")

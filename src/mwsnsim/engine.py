@@ -13,8 +13,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from enum import Enum
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,21 +33,16 @@ class BadRange(Exception):
     pass
 
 
-class EventKind(Enum):
-    PACKET_GENERATED = "packet_generated"
-    FRAME_BOUNDARY = "frame_boundary"
-    CRITICAL_EVENT = "critical_event"
-    SLOT_TRANSMIT = "slot_transmit"
-    PACKET_DELIVERED = "packet_delivered"
-
-
 class Event(NamedTuple):
-    """A scheduled event; its heap order is (time, seq), and seq is unique,
-    so kind and payload are never compared."""
+    """A scheduled event: at `time` the loop calls `handler(sim, event)`.
+    The handler is a plain function such as `Simulation._on_frame_boundary`,
+    never a bound method, so a queued event holds no reference back to its
+    simulation. Heap order is (time, seq), and seq is unique, so handler and
+    payload are never compared."""
 
     time: float
     seq: int
-    kind: EventKind
+    handler: Callable
     payload: tuple
 
 
@@ -65,7 +59,7 @@ class EventQueue:
     def __len__(self) -> int:
         return len(self._heap)
 
-    def schedule(self, time: float, kind: EventKind, payload: tuple = ()) -> int:
+    def schedule(self, time: float, handler: Callable, payload: tuple = ()) -> int:
         """Enqueue an event; returns its sequence handle."""
         if time < self.now:
             raise PastEvent(f"event at {time} is before the clock at {self.now}")
@@ -73,7 +67,7 @@ class EventQueue:
             raise ValueError("event time must be finite")
         seq = self.scheduled
         self.scheduled += 1
-        heapq.heappush(self._heap, Event(time, seq, kind, payload))
+        heapq.heappush(self._heap, Event(time, seq, handler, payload))
         return seq
 
     def peek_time(self) -> float | None:
@@ -219,9 +213,6 @@ class Simulation:
             patrol_radius=m["patrol_radius"],
         )
         self.class_thresholds = tuple(m["class_thresholds"])
-        # the fleet's positions at the last instant it was asked for; keyed
-        # by time alone, since positions are a function of time
-        self._pos_cache: tuple[float, np.ndarray, np.ndarray] | None = None
 
     def _build_radio(self) -> None:
         self.radio = radio_mod.params_for_range(self.cfg["radio"], self.cfg.wavelength)
@@ -303,23 +294,16 @@ class Simulation:
 
     def _schedule_initial_events(self) -> None:
         session = self.cfg.session_duration
-        self.queue.schedule(0.0, EventKind.FRAME_BOUNDARY)
+        self.queue.schedule(0.0, Simulation._on_frame_boundary)
         for idx, ev in enumerate(self.critical_events):
-            self.queue.schedule(ev["time"], EventKind.CRITICAL_EVENT, (idx,))
+            self.queue.schedule(ev["time"], Simulation._on_critical_event, (idx,))
         for fl in self.flows:
             for t in traffic_mod.generate_cbr(fl, session):
-                self.queue.schedule(t, EventKind.PACKET_GENERATED, (fl,))
+                self.queue.schedule(t, Simulation._on_packet_generated, (fl,))
 
     # helpers ---------------------------------------------------------------
-    def _positions(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        if self._pos_cache is not None and self._pos_cache[0] == t:
-            return self._pos_cache[1], self._pos_cache[2]
-        px, py = self.mob.positions_at(t)
-        self._pos_cache = (t, px, py)
-        return px, py
-
     def _position_map(self, t: float) -> dict[int, tuple[float, float]]:
-        px, py = self._positions(t)
+        px, py = self.mob.positions_at(t)
         return dict(enumerate(zip(px.tolist(), py.tolist())))
 
     def _alive(self) -> list[int]:
@@ -341,7 +325,7 @@ class Simulation:
 
     def _rebuild_graph(self, t: float) -> None:
         alive = self._alive()
-        px, py = self._positions(t)
+        px, py = self.mob.positions_at(t)
         self.graph = radio_mod.build_graph(
             alive, px[alive], py[alive], self.radio)
         self.dist_maps = {dst: traffic_mod.hop_distances(self.graph, dst)
@@ -426,14 +410,6 @@ class Simulation:
         scheme has no orphans.
         """
         holders = [i for i in self._alive() if i < self.bs_ids[0] and len(self.queues[i]) > 0]
-        cands: dict[int, sched.Candidate] = {}
-        for node in holders:
-            pi = self.queues[node].best_key(self._key_fn(node, t))
-            cands[node] = sched.Candidate(
-                node=node, pi=pi,
-                mob_class=self.mob_snapshot[node],
-                batt_level=energy_mod.battery_level(self.battery[node]),
-            )
         orphans: list[int] = []
         if self.scheme == "data":
             chs = [c for c in self.ch_ids if c not in self.dead]
@@ -442,8 +418,11 @@ class Simulation:
             if orphans and self.orphan_policy == "exclude":
                 excluded = set(orphans)
                 holders = [n for n in holders if n not in excluded]
-        return ([sched.priority_tuple(cands[n], self.net_of[n], self.n1_map) for n in holders],
-                orphans)
+        return ([sched.PriorityTuple(self.n1_map[self.net_of[n]], sched.Candidate(
+                    node=n, pi=self.queues[n].best_key(self._key_fn(n, t)),
+                    mob_class=self.mob_snapshot[n],
+                    batt_level=energy_mod.battery_level(self.battery[n])))
+                 for n in holders], orphans)
 
     # handlers ---------------------------------------------------------------
     def _on_frame_boundary(self, ev: Event) -> None:
@@ -455,46 +434,40 @@ class Simulation:
                 energy_mod.consume_idle(self.battery[node], self.costs, self.grid.frame_length)
                 self._note_depletion(node, t)
         self._rebuild_graph(t)
-        # both _candidates calls below see the same queues and graph, so
-        # they return the same orphans
-        orphans: list[int] = []
-        if not self.grid.ever_allocated:
-            sources, orphans = self._candidates(t)
-            if sources:
-                sched.allocate_slots(sources, self.grid)
-                self._trace_alloc(t, "startup", -1)
-        granted: list[tuple[int, int, int]] = []
-        transient: list[tuple[int, int, int]] = []
-        taken: set[int] = set()
-        empty_positions: list[tuple[int, int]] = []
-        for pos, holder in self.grid.assignment.items():
-            if holder is None or holder in self.dead:
-                empty_positions.append(pos)
-            else:
-                taken.add(holder)
-                if len(self.queues[holder]) > 0:
-                    granted.append((pos[0], pos[1], holder))
-        if empty_positions:
+        contenders, orphans = None, []
+        if self.grid.armed:  # never allocated yet: the startup allocation
             contenders, orphans = self._candidates(t)
-            spare = [pt for pt in contenders if pt.node not in taken]
-            spare.sort(key=sched.tuple_key)
-            for pos, pt in zip(empty_positions, spare):
-                transient.append((pos[0], pos[1], pt.node))
+            if contenders:
+                sched.allocate_slots(contenders, self.grid)
+                self._trace_alloc(t, "startup", -1)
+        # frozen holders keep their positions; a position with no live
+        # holder is lent for this frame to the best contender holding none
+        live = {pos: h for pos, h in self.grid.assignment.items()
+                if h is not None and h not in self.dead}
+        granted = [(f, s, h) for (f, s), h in live.items() if len(self.queues[h]) > 0]
+        open_positions = [pos for pos in self.grid.assignment if pos not in live]
+        lent = []
+        if open_positions:
+            if contenders is None:
+                contenders, orphans = self._candidates(t)
+            holders = set(live.values())
+            spare = [pt for pt in contenders if pt.node not in holders]
+            lent = [(f, s, node) for (f, s), node in sched.fill_positions(open_positions, spare)]
         rec = {
             "k": "frame", "t": t,
             "g": [list(g) for g in granted],
-            "x": [list(g) for g in transient],
+            "x": [list(g) for g in lent],
             "q": [len(q) for q in self.queues],
         }
         if orphans:
             rec["orph"] = orphans
         self.trace.append(rec)
         slot_dur = self.grid.slot_duration
-        for f, s, node in sorted(granted + transient):
-            self.queue.schedule(t + s * slot_dur, EventKind.SLOT_TRANSMIT, (f, s, node))
+        for f, s, node in sorted(granted + lent):
+            self.queue.schedule(t + s * slot_dur, Simulation._on_slot_transmit, (f, s, node))
         nxt = t + self.grid.frame_length
         if nxt <= self.cfg.session_duration:
-            self.queue.schedule(nxt, EventKind.FRAME_BOUNDARY)
+            self.queue.schedule(nxt, Simulation._on_frame_boundary)
 
     def _trace_alloc(self, t: float, why: str, ev_idx: int) -> None:
         self.trace.append({
@@ -544,7 +517,7 @@ class Simulation:
             self._note_depletion(node, t)
             self.queue.schedule(
                 t + energy_mod.airtime(p.size, self.costs),
-                EventKind.PACKET_DELIVERED, (p, node, hop))
+                Simulation._on_packet_delivered, (p, node, hop))
             break
 
     def _on_packet_delivered(self, ev: Event) -> None:
@@ -637,14 +610,6 @@ class Simulation:
                 imp = self.streams["importance"].uniform(0.1, 0.5)
         self._generate_packet(fl.id, fl.src, fl.dst, t, imp)
 
-    _HANDLERS = {
-        EventKind.FRAME_BOUNDARY: _on_frame_boundary,
-        EventKind.SLOT_TRANSMIT: _on_slot_transmit,
-        EventKind.PACKET_DELIVERED: _on_packet_delivered,
-        EventKind.CRITICAL_EVENT: _on_critical_event,
-        EventKind.PACKET_GENERATED: _on_packet_generated,
-    }
-
     def run_until(self, t_end: float) -> list[dict]:
         """Process every pending event with time <= t_end, in (time, seq)
         order; returns the trace so far."""
@@ -653,7 +618,7 @@ class Simulation:
             if nxt > t_end:
                 break
             event = self.queue.pop()
-            self._HANDLERS[event.kind](self, event)
+            event.handler(self, event)
         return self.trace
 
     def run(self) -> list[dict]:
@@ -668,7 +633,7 @@ class Simulation:
         self.mob.tick(t_end)
         # packets still on the air when the session closes count as starved
         for event in sorted(self.queue._heap):
-            if event.kind is EventKind.PACKET_DELIVERED:
+            if event.handler is Simulation._on_packet_delivered:
                 p, _, receiver = event.payload
                 self._drop(p, receiver, t_end, "starved", detail="in_flight")
         for node in range(self.n):

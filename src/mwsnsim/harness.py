@@ -12,7 +12,7 @@ import math
 import os
 
 from . import metrics
-from .config import ScenarioConfig
+from .config import SCHEMA, ScenarioConfig
 from .engine import Simulation, trace_from_jsonl, trace_to_jsonl
 from .radio import params_for_range
 
@@ -178,6 +178,17 @@ def emit_report(
     return written
 
 
+def _check_seeds(seeds: list[int]) -> None:
+    """Refuse an empty seed list, or a seed that the config's `seed` field
+    would refuse, before any run starts."""
+    if not seeds:
+        raise ValueError("need at least one seed")
+    ok, demand = SCHEMA["seed"][1]
+    for seed in seeds:
+        if not ok(seed):
+            raise ValueError(f"seed {demand}, got {seed!r}")
+
+
 def run_experiment(
     config: ScenarioConfig,
     seeds: list[int],
@@ -191,8 +202,7 @@ def run_experiment(
     run_header.txt, the per-run trace_<scheme>_s<seed>.jsonl files and, when
     two schemes run, ab_summary.csv comparing them per seed.
     """
-    if not seeds:
-        raise ValueError("need at least one seed")
+    _check_seeds(seeds)
     schemes = schemes or [config.scheduler]
     reports: list[RunReport | FailedRun] = []
     for seed in seeds:
@@ -267,6 +277,7 @@ def throughput_vs_connections(
     """Mean delivered kbit/s per connection count, averaged over seeds."""
     if any(n < 0 for n in connection_counts):
         raise ValueError("connection counts must be non-negative")
+    _check_seeds(seeds)
     scheme = scheme or config.scheduler
     series: list[tuple[int, float]] = []
     for n in connection_counts:

@@ -37,10 +37,6 @@ class FrozenGrid(Exception):
     pass
 
 
-class UnknownNetwork(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class FlowParams:
     desired_pdr: float = 0.9
@@ -208,10 +204,10 @@ def tuple_key(pt: PriorityTuple):
     return (pt.n1,) + candidate_key(pt.n2)
 
 
-def priority_tuple(candidate: Candidate, network_id: str, n1_map: dict[str, int]) -> PriorityTuple:
-    if network_id not in n1_map:
-        raise UnknownNetwork(f"network {network_id!r} has no rank")
-    return PriorityTuple(n1=n1_map[network_id], n2=candidate)
+def fill_positions(positions, contenders) -> list[tuple[tuple[int, int], int]]:
+    """(position, node) pairs: the best contenders in tuple order, paired
+    with positions in the given order until either runs out, as zip does."""
+    return [(pos, pt.node) for pos, pt in zip(positions, sorted(contenders, key=tuple_key))]
 
 
 class SlotGrid:
@@ -220,18 +216,17 @@ class SlotGrid:
     The assignment maps each (frequency, slot) position to at most one
     source node and is immutable between critical events: allocation only
     proceeds when the grid has been armed (at startup or by a critical
-    event) and each arming permits exactly one allocation.
+    event) and each arming permits exactly one allocation. A critical event
+    allocates as soon as it re-arms, so between events the grid is armed
+    exactly when it has never been allocated.
     """
 
     def __init__(self, frequencies: int, slots_per_frame: int, frame_length: float):
         self.frequencies = frequencies
         self.slots_per_frame = slots_per_frame
         self.frame_length = frame_length
-        self.assignment: dict[tuple[int, int], int | None] = {
-            pos: None for pos in self.positions()
-        }
+        self.assignment: dict[tuple[int, int], int | None] = dict.fromkeys(self.positions())
         self.armed = True
-        self.ever_allocated = False
 
     def positions(self) -> list[tuple[int, int]]:
         """All (frequency, slot) positions in the fixed scan order."""
@@ -260,11 +255,10 @@ def allocate_slots(sources, grid: SlotGrid) -> SlotGrid:
         raise EmptyGrid("grid has no positions")
     if not grid.armed:
         raise FrozenGrid("allocation without an intervening critical event")
-    ranked = [src.node for src in sorted(sources, key=tuple_key)]
-    ranked += [None] * (grid.capacity - len(ranked))
-    grid.assignment = dict(zip(grid.positions(), ranked))
+    positions = grid.positions()
+    grid.assignment = dict.fromkeys(positions)
+    grid.assignment.update(fill_positions(positions, sources))
     grid.armed = False
-    grid.ever_allocated = True
     return grid
 
 

@@ -1,14 +1,17 @@
 """Event queue, random streams, and whole-run engine contracts."""
 
+import gc
+import os
+import weakref
+
 import numpy as np
 import pytest
 
 from mwsnsim import metrics
-from mwsnsim.config import validate_config
+from mwsnsim.config import load_config, validate_config
 from mwsnsim.engine import (
     BadRange,
     Event,
-    EventKind,
     EventQueue,
     PastEvent,
     RandomStream,
@@ -19,19 +22,21 @@ from mwsnsim.engine import (
 )
 from mwsnsim.mobility import MobilityField
 
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+
 
 def test_schedule_single_event_is_head():
     q = EventQueue()
-    q.schedule(1.0, EventKind.FRAME_BOUNDARY)
+    q.schedule(1.0, Simulation._on_frame_boundary)
     assert q.peek_time() == 1.0
     ev = q.pop()
-    assert ev.time == 1.0 and ev.kind is EventKind.FRAME_BOUNDARY
+    assert ev.time == 1.0 and ev.handler is Simulation._on_frame_boundary
 
 
 def test_equal_time_events_dequeue_in_schedule_order():
     q = EventQueue()
-    first = q.schedule(2.0, EventKind.FRAME_BOUNDARY, ("a",))
-    second = q.schedule(2.0, EventKind.FRAME_BOUNDARY, ("b",))
+    first = q.schedule(2.0, Simulation._on_frame_boundary, ("a",))
+    second = q.schedule(2.0, Simulation._on_frame_boundary, ("b",))
     assert first < second
     assert q.pop().payload == ("a",)
     assert q.pop().payload == ("b",)
@@ -39,15 +44,15 @@ def test_equal_time_events_dequeue_in_schedule_order():
 
 def test_schedule_in_the_past_raises():
     q = EventQueue()
-    q.schedule(1.0, EventKind.FRAME_BOUNDARY)
+    q.schedule(1.0, Simulation._on_frame_boundary)
     q.pop()
     with pytest.raises(PastEvent):
-        q.schedule(0.5, EventKind.FRAME_BOUNDARY)
+        q.schedule(0.5, Simulation._on_frame_boundary)
 
 
 def test_nothing_due_processes_nothing():
     q = EventQueue()
-    q.schedule(0.5, EventKind.FRAME_BOUNDARY)
+    q.schedule(0.5, Simulation._on_frame_boundary)
     processed = []
     while len(q) and q.peek_time() <= 0.0:
         processed.append(q.pop())
@@ -425,3 +430,91 @@ def test_reports_route_to_sinks_that_no_flow_uses():
     assert delivered - {23}, delivered
     assert sim.route_dsts == [20, 21, 22, 23]
     assert set(gen_dst.values()) <= set(sim.route_dsts)
+
+
+_PLACEMENT_CONFIGS = {
+    "stock": {},
+    "event_study": "event_study.yaml",
+    "drained": DRAINED,
+    "drained_idle": DRAINED_IDLE,
+    "orphans_excluded": {"options": {"orphan_policy": "exclude"}},
+    "wide_grid": {"grid": {"frequencies": 8, "slots_per_frame": 5}, "flow_count": 3},
+}
+
+
+def _frame_placement_errors(trace, cfg, scheme) -> tuple[list[str], int]:
+    """Check every frame record against the placement rule, reading only
+    the trace; returns the violations and the number of lent positions.
+
+    The frozen holders are those of the latest alloc record, and a holder
+    is live until its dep record. Live holders with data are granted their
+    positions (`g`, in scan order). Every other position, in scan order,
+    is lent (`x`) to a distinct spare node until either runs out: a spare
+    node is alive, not a base station, holds data, holds no live
+    position, and under the data scheme with orphans excluded is not an
+    orphan of that frame.
+    """
+    g = cfg["grid"]
+    scan = [(f, s) for f in range(g["frequencies"]) for s in range(g["slots_per_frame"])]
+    first_bs = trace[0]["n"] - cfg["base_stations"]
+    exclude = scheme == "data" and cfg["options"]["orphan_policy"] == "exclude"
+    holder: dict[tuple[int, int], int] = {}
+    dead: set[int] = set()
+    errors, lent = [], 0
+    for rec in trace:
+        if rec["k"] == "alloc":
+            holder = {(f, s): h for f, s, h in rec["a"]}
+        elif rec["k"] == "dep":
+            dead.add(rec["n"])
+        elif rec["k"] == "frame":
+            q, t = rec["q"], rec["t"]
+            live = {pos: h for pos, h in holder.items() if h not in dead}
+            granted = [[f, s, live[(f, s)]] for f, s in scan
+                       if (f, s) in live and q[live[(f, s)]] > 0]
+            open_positions = [pos for pos in scan if pos not in live]
+            orphans = set(rec.get("orph", [])) if exclude else set()
+            spare = {n for n in range(first_bs) if n not in dead and q[n] > 0
+                     and n not in live.values() and n not in orphans}
+            x_nodes = [n for _, _, n in rec["x"]]
+            if rec["g"] != granted:
+                errors.append(f"t={t}: g {rec['g']} != {granted}")
+            if [(f, s) for f, s, _ in rec["x"]] != open_positions[:len(x_nodes)]:
+                errors.append(f"t={t}: x {rec['x']} not the first open positions")
+            if len(x_nodes) != min(len(open_positions), len(spare)):
+                errors.append(f"t={t}: {len(x_nodes)} lent, {len(open_positions)} open, "
+                              f"{len(spare)} spare")
+            if len(set(x_nodes)) != len(x_nodes) or not set(x_nodes) <= spare:
+                errors.append(f"t={t}: x nodes {x_nodes} not distinct spare nodes")
+            lent += len(x_nodes)
+    return errors, lent
+
+
+def test_frames_follow_the_placement_rule():
+    lent = 0
+    for name, source in _PLACEMENT_CONFIGS.items():
+        cfg = (load_config(os.path.join(CONFIG_DIR, source)) if isinstance(source, str)
+               else validate_config(source))
+        for seed in (1, 2, 3):
+            for scheme in ("mdlps", "data"):
+                trace = Simulation(cfg, seed=seed, scheme=scheme).run()
+                errors, n_lent = _frame_placement_errors(trace, cfg, scheme)
+                assert not errors, (name, seed, scheme, errors[:3])
+                lent += n_lent
+    assert lent > 1000
+
+
+def test_finished_simulation_is_freed_by_reference_counting():
+    """Queued events name their handler as a plain function, so the events
+    left in a finished run's queue hold no reference back to it."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sim = Simulation(validate_config({"session_duration": 5.0}), seed=1, scheme="mdlps")
+        sim.run()
+        assert len(sim.queue) > 0
+        ref = weakref.ref(sim)
+        del sim
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()

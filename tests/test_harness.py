@@ -29,11 +29,12 @@ from mwsnsim.mobility import make_leg
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
-def _two_networks(first: str, second: str) -> str:
-    """Two networks splitting the stock 22 nodes; `first` and `second` give
-    each entry's id and any further keys."""
+def _two_networks(first: str, second: str, second_members=range(11, 22)) -> str:
+    """Two networks covering the stock 22 nodes; `first` and `second` give
+    each entry's id and any further keys, `second_members` the second's
+    members."""
     return (f"networks: [{{{first}, bandwidth: 1.0e+6, members: {list(range(11))}}}, "
-            f"{{{second}, bandwidth: 1.0e+6, members: {list(range(11, 22))}}}]")
+            f"{{{second}, bandwidth: 1.0e+6, members: {list(second_members)}}}]")
 
 
 # configuration ----------------------------------------------------------------
@@ -133,6 +134,9 @@ def test_repeated_flow_id_rejected(flows):
     # network ids repeated, also after str()
     (_two_networks("id: a", "id: a"), "networks[1].id"),
     (_two_networks("id: 1", "id: '1'"), "networks[1].id"),
+    # every node in exactly one network, so each node has a network rank
+    (_two_networks("id: a", "id: b", range(11, 21)), "networks"),
+    (_two_networks("id: a", "id: b", range(10, 22)), "networks[1].members"),
 ])
 def test_non_finite_number_rejected(doc, field):
     with pytest.raises(ValidationError) as err:
@@ -243,6 +247,22 @@ def test_reemit_is_byte_identical(tmp_path):
 def test_experiment_requires_seeds():
     with pytest.raises(ValueError):
         run_experiment(_fast_cfg(), [], ["mdlps"])
+
+
+@pytest.mark.parametrize("seeds", [[], [-1], [1, -1], [1, True], [1, 2.0]])
+def test_seeds_checked_before_any_run(seeds, monkeypatch):
+    """Both entry points refuse what the config's seed field refuses, before
+    the first run, rather than failing inside a run."""
+    import mwsnsim.harness as harness_mod
+
+    def no_run(config, seed, scheme):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(harness_mod, "run_one", no_run)
+    with pytest.raises(ValueError, match="seed"):
+        run_experiment(_fast_cfg(), seeds, ["mdlps"])
+    with pytest.raises(ValueError, match="seed"):
+        throughput_vs_connections(_fast_cfg(), [0, 1], seeds)
 
 
 def test_failed_run_aborts_only_its_own_seed(tmp_path, monkeypatch):
@@ -556,6 +576,28 @@ def test_cli_rejects_negative_seed_before_any_run(tmp_path, capsys):
     assert code == 2
     assert "ValueError" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_runs_the_config_seed_when_seeds_omitted(tmp_path):
+    cfg_path = _write_fast_cfg(tmp_path)
+    cfg_path.write_text(cfg_path.read_text() + "seed: 7\n")
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(out), "--no-traces"]) == 0
+    rows = (out / "summary.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["7"]
+    sweep = tmp_path / "sweep"
+    assert cli_main(["sweep-connections", "--config", str(cfg_path), "--max-n", "1",
+                     "--out", str(sweep)]) == 0
+    one_run = run_experiment(load_config(str(cfg_path)).with_overrides(flow_count=1), [7])
+    assert (sweep / "throughput.csv").read_text().splitlines()[1] == (
+        f"1,{round(one_run[0].throughput, 6)!r}")
+
+
+def test_cli_sweep_rejects_an_empty_seed_list(tmp_path, capsys):
+    code = cli_main(["sweep-connections", "--seeds", ",", "--max-n", "1",
+                     "--out", str(tmp_path / "out"), "--config", str(_write_fast_cfg(tmp_path))])
+    assert code == 2
+    assert "ValueError: need at least one seed" in capsys.readouterr().err
 
 
 def _write_fast_cfg(tmp_path):

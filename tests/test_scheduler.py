@@ -17,19 +17,18 @@ from mwsnsim.scheduler import (
     Network,
     PriorityTuple,
     SlotGrid,
-    UnknownNetwork,
     ZeroVelocity,
     allocate_slots,
     assign_clusters,
     compute_pi_data,
     compute_pi_mdlps,
     compute_ulb,
+    fill_positions,
     global_importance_ranking,
     in_disc,
     nearest,
     network_priority,
     pdr_gate,
-    priority_tuple,
     tuple_key,
 )
 
@@ -282,29 +281,21 @@ def test_network_priority_validation():
 # priority tuples -----------------------------------------------------------
 
 def test_network_rank_dominates_node_index():
-    n1 = {"A": 1, "B": 2}
-    strong_b = priority_tuple(Candidate(node=9, pi=0.1), "B", n1)
-    weak_a = priority_tuple(Candidate(node=3, pi=5.0), "A", n1)
+    strong_b = PriorityTuple(n1=2, n2=Candidate(node=9, pi=0.1))
+    weak_a = PriorityTuple(n1=1, n2=Candidate(node=3, pi=5.0))
     assert tuple_key(weak_a) < tuple_key(strong_b)
 
 
 def test_same_network_node_index_decides():
-    n1 = {"A": 1}
-    a = priority_tuple(Candidate(node=0, pi=0.4), "A", n1)
-    b = priority_tuple(Candidate(node=1, pi=0.5), "A", n1)
+    a = PriorityTuple(n1=1, n2=Candidate(node=0, pi=0.4))
+    b = PriorityTuple(n1=1, n2=Candidate(node=1, pi=0.5))
     assert tuple_key(a) < tuple_key(b)
 
 
 def test_identical_tuples_break_by_node_id():
-    n1 = {"A": 1}
-    a = priority_tuple(Candidate(node=2, pi=0.4), "A", n1)
-    b = priority_tuple(Candidate(node=8, pi=0.4), "A", n1)
+    a = PriorityTuple(n1=1, n2=Candidate(node=2, pi=0.4))
+    b = PriorityTuple(n1=1, n2=Candidate(node=8, pi=0.4))
     assert tuple_key(a) < tuple_key(b)
-
-
-def test_unknown_network_rejected():
-    with pytest.raises(UnknownNetwork):
-        priority_tuple(Candidate(node=0, pi=1.0), "ghost", {"A": 1})
 
 
 # slot allocation -----------------------------------------------------------
@@ -333,6 +324,16 @@ def test_undersubscribed_grid_leaves_empty_positions():
     holders = [grid.assignment[pos] for pos in grid.positions()]
     # scan order is frequency-major; best index first
     assert holders == [1, 2, 0, None]
+
+
+def test_fill_positions_pairs_best_first_in_the_given_order():
+    """The positions keep the caller's order; the shorter side decides
+    how many pairs there are."""
+    contenders = _tuples([3.0, 1.0, 2.0])
+    assert fill_positions([(1, 0), (0, 1)], contenders) == [((1, 0), 1), ((0, 1), 2)]
+    assert fill_positions([(0, 0), (0, 1), (1, 0), (1, 1)], contenders) == [
+        ((0, 0), 1), ((0, 1), 2), ((1, 0), 0)]
+    assert fill_positions([], contenders) == []
 
 
 def test_allocation_scan_order_is_frequency_major():
