@@ -1,7 +1,7 @@
 """Check that two source trees produce byte-identical traces.
 
 Hashes (sha256) the canonical JSONL trace, `engine.trace_to_jsonl`, of every
-run of a fixed set: seeds 1-20 x both schemes on ten 22-40-node scenarios,
+run of a fixed set: seeds 1-20 x both schemes on eleven 22-40-node scenarios,
 plus 1000 nodes at the stock 250 m range for 20 s, seeds 1-2 x both schemes.
 The `mwsnsim` package is imported from --src. One line per run is printed:
 the run, its trace hash, one `kind:hash` pair per record kind (the hash of
@@ -89,6 +89,11 @@ RUN_SET = {
     "two_networks": (TWO_NETWORKS, range(1, 21)),
     # with no pause, each leg starts at the instant the last one arrives
     "pause_0": ({"mobility": {"pause_time": 0.0}}, range(1, 21)),
+    # slow links and long hops deliver packets to relays at or past their
+    # deadline, some of them also gated, so the order of the arrival
+    # rule's checks shows in the trace
+    "slow_link_gated": ({"energy": {"link_rate": 40000.0}, "radio": {"nominal_range": 400.0},
+                         "options": {"gate_mode": "drop"}}, range(1, 21)),
     "fleet1000": ({"node_count": 1000, "session_duration": 20.0}, range(1, 3)),
 }
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+from collections import defaultdict
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -21,7 +22,7 @@ from . import energy as energy_mod
 from . import radio as radio_mod
 from . import scheduler as sched
 from . import traffic as traffic_mod
-from .config import ScenarioConfig
+from .config import SCHEMA, ScenarioConfig
 from .mobility import MobilityField, snapshot_classes
 
 
@@ -142,8 +143,11 @@ class Simulation:
         self.cfg = config
         self.seed = config["seed"] if seed is None else seed
         self.scheme = config.scheduler if scheme is None else scheme
-        if self.scheme not in ("mdlps", "data"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+        # the config's own rules, so a direct caller meets the same limits
+        for field, value in (("seed", self.seed), ("scheduler", self.scheme)):
+            ok, demand = SCHEMA[field][1]
+            if not ok(value):
+                raise ValueError(f"{field} {demand}, got {value!r}")
         self.streams = RandomStreams(self.seed, config.node_count)
         self.queue = EventQueue()
         self.trace: list[dict] = []
@@ -242,7 +246,6 @@ class Simulation:
             desired_pdr=f["desired_pdr"], pdr_threshold=f["pdr_threshold"],
             deadline_budget=f["deadline_budget"],
         )
-        self.pdr_window = f["pdr_window"]
         raw = cfg["flows"]
         flows: list[traffic_mod.Flow] = []
         if raw is None:
@@ -266,7 +269,9 @@ class Simulation:
         # a base station, so these are all the hop maps routing can read
         self.route_dsts = sorted({fl.dst for fl in flows} | set(self.bs_ids))
         self.queues = [traffic_mod.NodeQueue(cfg["queue_size"]) for _ in range(self.n)]
-        self.trackers: dict[str, traffic_mod.PdrTracker] = {}
+        window = f["pdr_window"]
+        self.trackers: defaultdict[str, traffic_mod.PdrTracker] = defaultdict(
+            lambda: traffic_mod.PdrTracker(window))
         self.next_packet_id = 0
 
     def _build_scheduling(self) -> None:
@@ -316,13 +321,6 @@ class Simulation:
             self.dead.add(node)
             self.trace.append({"k": "dep", "t": t, "n": node})
 
-    def _tracker(self, flow_id: str) -> traffic_mod.PdrTracker:
-        tr = self.trackers.get(flow_id)
-        if tr is None:
-            tr = traffic_mod.PdrTracker(self.pdr_window)
-            self.trackers[flow_id] = tr
-        return tr
-
     def _rebuild_graph(self, t: float) -> None:
         alive = self._alive()
         px, py = self.mob.positions_at(t)
@@ -334,27 +332,20 @@ class Simulation:
     def _key_fn(self, node: int, t: float):
         """Fresh per-packet contention key for this node at this instant.
 
-        Expired and currently unroutable packets get the sentinel (they can
-        never transmit, so they lose every contention and every eviction).
+        A packet that is expired at t, or that has no hop count from this
+        node to its destination, gets the sentinel: it cannot transmit, so
+        it loses every contention and every eviction. Any other packet gets
+        the scheme's index.
         """
         sentinel = sched.GATE_SENTINEL
         dist_maps = self.dist_maps
-        if self.scheme == "data":
-            def key(p: traffic_mod.Packet) -> float:
-                if t >= p.deadline:
-                    return sentinel
-                dmap = dist_maps.get(p.dst)
-                if dmap is None or node not in dmap:
-                    return sentinel
-                return sched.compute_pi_data(p.importance)
-            return key
-
-        v = max(self.mob.instantaneous_speed(node, t), self.velocity_floor)
-        # dead nodes never transmit; their queue order is irrelevant
-        x = 1.0 if node in self.dead else energy_mod.battery_factor(self.battery[node])
-        flow = self.flow_params
-        trackers = self.trackers
-        pdr_cache: dict[str, float] = {}
+        data = self.scheme == "data"
+        if not data:
+            v = max(self.mob.instantaneous_speed(node, t), self.velocity_floor)
+            # dead nodes never transmit; their queue order is irrelevant
+            x = 1.0 if node in self.dead else energy_mod.battery_factor(self.battery[node])
+            flow = self.flow_params
+            trackers = self.trackers
 
         def key(p: traffic_mod.Packet) -> float:
             if t >= p.deadline:
@@ -363,30 +354,26 @@ class Simulation:
             hops = dmap.get(node) if dmap is not None else None
             if hops is None:
                 return sentinel
-            pdr = pdr_cache.get(p.flow)
-            if pdr is None:
-                tracker = trackers.get(p.flow)
-                pdr = tracker.value if tracker is not None else 1.0
-                pdr_cache[p.flow] = pdr
-            return sched.mdlps_index(pdr, flow, sched.compute_ulb(p.deadline, t, hops), v, x)
+            if data:
+                return sched.compute_pi_data(p.importance)
+            return sched.mdlps_index(trackers[p.flow].value, flow,
+                                     sched.compute_ulb(p.deadline, t, hops), v, x)
         return key
 
-    def _gated_out(self, packet: traffic_mod.Packet) -> bool:
-        """Hard-drop mode: discard below-threshold-PDR packets at enqueue."""
-        return (self.scheme == "mdlps" and self.gate_mode == "drop"
-                and self._tracker(packet.flow).value < self.flow_params.pdr_threshold)
-
     def _enqueue(self, node: int, packet: traffic_mod.Packet, t: float) -> None:
-        if self._gated_out(packet):
+        """The arrival rule, checked in this order: in hard-drop mode an
+        mdlps packet of a flow below the delivery-ratio threshold is dropped
+        as gated; a packet at or past its deadline is dropped as expired;
+        any other packet is queued, which on overflow evicts the worst."""
+        if (self.gate_mode == "drop" and self.scheme == "mdlps"
+                and self.trackers[packet.flow].value < self.flow_params.pdr_threshold):
             self._drop(packet, node, t, "gated")
-            return
-        try:
-            evicted = self.queues[node].enqueue(packet, self._key_fn(node, t), t)
-        except traffic_mod.Expired:
+        elif t >= packet.deadline:
             self._drop(packet, node, t, "expired")
-            return
-        if evicted is not None:
-            self._drop(evicted, node, t, "overflow")
+        else:
+            evicted = self.queues[node].enqueue(packet, self._key_fn(node, t))
+            if evicted is not None:
+                self._drop(evicted, node, t, "overflow")
 
     def _drop(self, packet: traffic_mod.Packet, node: int, t: float, cause: str,
               detail: str | None = None) -> None:
@@ -395,7 +382,7 @@ class Simulation:
             rec["d"] = detail
         self.trace.append(rec)
         if cause != "starved":
-            self._tracker(packet.flow).record(False)
+            self.trackers[packet.flow].record(False)
 
     def _candidates(self, t: float) -> tuple[list[sched.PriorityTuple], list[int]]:
         """Contenders for transmission positions, and the orphans among them
@@ -536,7 +523,7 @@ class Simulation:
         self.trace.append(rec)
         self._note_depletion(receiver, t)
         if receiver == p.dst:
-            self._tracker(p.flow).record(rec["ok"])
+            self.trackers[p.flow].record(rec["ok"])
         elif receiver in self.dead:
             self._drop(p, receiver, t, "no_route", detail="receiver_dead")
         else:

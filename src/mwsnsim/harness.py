@@ -17,10 +17,6 @@ from .engine import Simulation, trace_from_jsonl, trace_to_jsonl
 from .radio import params_for_range
 
 
-class IoError(Exception):
-    pass
-
-
 class ConservationError(Exception):
     """A run's trace does not give each generated packet exactly one fate."""
 
@@ -117,13 +113,10 @@ def run_header_text(config: ScenarioConfig, seeds: list[int], schemes: list[str]
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def emit_report(
@@ -141,10 +134,7 @@ def emit_report(
     when the report set is empty), plus per-run trace files and, when exactly
     two schemes are present, ab_summary.csv.
     """
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        raise IoError(f"cannot create {out_dir}: {exc}") from exc
+    os.makedirs(out_dir, exist_ok=True)
     written = []
 
     def _path(name):
@@ -300,9 +290,6 @@ def replay_metric(trace_path: str, metric: str):
     if metric not in metrics.METRIC_FUNCTIONS:
         raise KeyError(f"unknown metric {metric!r}; choose from "
                        f"{sorted(metrics.METRIC_FUNCTIONS)}")
-    try:
-        with open(trace_path, "r", encoding="utf-8") as fh:
-            trace = trace_from_jsonl(fh.read())
-    except OSError as exc:
-        raise IoError(f"cannot read {trace_path}: {exc}") from exc
+    with open(trace_path, "r", encoding="utf-8") as fh:
+        trace = trace_from_jsonl(fh.read())
     return metrics.METRIC_FUNCTIONS[metric](trace)

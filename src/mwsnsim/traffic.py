@@ -13,10 +13,6 @@ from collections import deque
 from dataclasses import dataclass
 
 
-class Expired(Exception):
-    pass
-
-
 @dataclass(eq=False)
 class Packet:
     """One packet in flight; packets compare by identity."""
@@ -67,10 +63,12 @@ def generate_cbr(flow: Flow, until: float) -> list[float]:
 class NodeQueue:
     """Bounded queue ordered by the active scheme's key at inspection time.
 
-    Keys are recomputed when the queue is read (laxity decays with the
-    clock), so only membership is stored, in arrival order: packets are only
-    appended, and removal keeps the order of the rest. Reads sort stably, so
-    key ties go first-in first-out. On overflow the worst-keyed packet is
+    The queue holds and ranks packets; it does not check deadlines, which
+    the engine's arrival rule and `purge_expired` do. Keys are recomputed
+    when the queue is read (laxity decays with the clock), so only
+    membership is stored, in arrival order: packets are only appended, and
+    removal keeps the order of the rest. Reads sort stably, so key ties go
+    first-in first-out. On overflow the worst-keyed packet is
     dropped, which may be the incoming one; key ties evict the newest
     arrival.
     """
@@ -87,13 +85,8 @@ class NodeQueue:
     def __iter__(self):
         return iter(self._items)
 
-    def enqueue(self, packet: Packet, key_fn, now: float) -> Packet | None:
-        """Insert packet; returns the evicted packet on overflow, else None.
-
-        Raises Expired when the packet's deadline has already passed.
-        """
-        if now >= packet.deadline:
-            raise Expired(f"packet {packet.id} expired before enqueue")
+    def enqueue(self, packet: Packet, key_fn) -> Packet | None:
+        """Insert packet; returns the evicted packet on overflow, else None."""
         if len(self._items) < self.capacity:
             self._items.append(packet)
             return None
@@ -129,23 +122,29 @@ class NodeQueue:
 class PdrTracker:
     """Delivery ratio of a flow over a sliding window of send outcomes.
 
-    The ratio is 1 by convention before any outcome is recorded.
+    The ratio is 1 by convention before any outcome is recorded. The count
+    of deliveries in the window is kept, so reading the ratio is O(1).
     """
 
     def __init__(self, window: int = 20):
         if window < 1:
             raise ValueError("window must be >= 1")
         self._outcomes: deque[bool] = deque(maxlen=window)
+        self._hits = 0
 
     def record(self, delivered_within_deadline: bool) -> "PdrTracker":
-        self._outcomes.append(bool(delivered_within_deadline))
+        outcome = bool(delivered_within_deadline)
+        if len(self._outcomes) == self._outcomes.maxlen:
+            self._hits -= self._outcomes[0]
+        self._outcomes.append(outcome)
+        self._hits += outcome
         return self
 
     @property
     def value(self) -> float:
         if not self._outcomes:
             return 1.0
-        return sum(self._outcomes) / len(self._outcomes)
+        return self._hits / len(self._outcomes)
 
 
 def hop_distances(graph, dst: int) -> dict[int, int]:

@@ -22,12 +22,12 @@ def first_frame_grantees(trace: list[dict], event_index: int) -> set[int]:
 
 
 def transmitters_respect_depletion(trace: list[dict]) -> bool:
-    """No node transmits after its depletion record."""
+    """No node transmits or receives after its depletion record."""
     dead: set[int] = set()
     for rec in trace:
         if rec["k"] == "dep":
             dead.add(rec["n"])
-        elif rec["k"] == "tx" and rec["u"] in dead:
+        elif (rec["k"] == "tx" and rec["u"] in dead) or (rec["k"] == "rx" and rec["n"] in dead):
             return False
     return True
 

@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
+from helpers import transmitters_respect_depletion
 from mwsnsim import metrics
 from mwsnsim.config import load_config, validate_config
 from mwsnsim.engine import (
@@ -202,8 +203,16 @@ def test_default_scenario_has_transmissions_for_connected_flows():
 
 
 def test_unknown_scheme_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="scheduler"):
         Simulation(_small_cfg(), seed=1, scheme="fifo")
+
+
+@pytest.mark.parametrize("seed", [True, -1, 2.0])
+def test_simulation_refuses_a_seed_the_config_refuses(seed):
+    """A direct caller meets the config's seed rule, rather than a run whose
+    header records `"seed":true` or a failure inside numpy."""
+    with pytest.raises(ValueError, match="seed"):
+        Simulation(_small_cfg(), seed=seed, scheme="mdlps")
 
 
 def _two_network_cfg(event):
@@ -286,16 +295,6 @@ DRAINED_IDLE = {"initial_energy": 0.5,
                 "radio": {"nominal_range": 800.0}}
 
 
-def _dead_nodes_stay_silent(trace) -> bool:
-    dead: set[int] = set()
-    for rec in trace:
-        if rec["k"] == "dep":
-            dead.add(rec["n"])
-        elif (rec["k"] == "tx" and rec["u"] in dead) or (rec["k"] == "rx" and rec["n"] in dead):
-            return False
-    return True
-
-
 def _dead_sources_queue_nothing(trace) -> bool:
     """Each packet of an already dead source is dropped as source_dead by
     the record right after its gen, so it never reaches a queue."""
@@ -337,7 +336,7 @@ def test_runs_complete_when_batteries_drain(name, drained_traces):
         assert trace[-1]["k"] == "end", where
         assert metrics.conservation(trace)["ok"], where
         assert metrics.energy_monotone(trace), where
-        assert _dead_nodes_stay_silent(trace), where
+        assert transmitters_respect_depletion(trace), where
         depletions += len(metrics.depleted_nodes(trace))
     assert depletions > 0
 

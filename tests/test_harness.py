@@ -600,6 +600,17 @@ def test_cli_sweep_rejects_an_empty_seed_list(tmp_path, capsys):
     assert "ValueError: need at least one seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["run_header.txt", "summary.csv"])
+def test_cli_reports_an_unwritable_output_file(name, tmp_path, capsys):
+    """A write that fails exits 2 and names the file, whichever file it is."""
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    code = cli_main(["run", "--out", str(out), "--no-traces",
+                     "--config", str(_write_fast_cfg(tmp_path))])
+    assert code == 2
+    assert str(out / name) in capsys.readouterr().err
+
+
 def _write_fast_cfg(tmp_path):
     p = tmp_path / "fast.yaml"
     p.write_text(

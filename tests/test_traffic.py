@@ -14,7 +14,6 @@ from mwsnsim.mobility import make_leg
 from mwsnsim.radio import ConnectivityGraph
 from mwsnsim.scheduler import GATE_SENTINEL
 from mwsnsim.traffic import (
-    Expired,
     Flow,
     NodeQueue,
     Packet,
@@ -96,16 +95,16 @@ def test_flow_validation():
 def test_enqueue_into_empty_queue_is_head():
     q = NodeQueue(50)
     p = _packet()
-    assert q.enqueue(p, lambda _: 1.0, now=0.0) is None
+    assert q.enqueue(p, lambda _: 1.0) is None
     assert q.sorted_items(lambda _: 1.0) == [p]
 
 
 def test_full_queue_of_better_packets_drops_newcomer():
     q = NodeQueue(50)
     for i in range(50):
-        q.enqueue(_packet(pid=i, importance=1.0), lambda p: 1.0 / p.importance, now=0.0)
+        q.enqueue(_packet(pid=i, importance=1.0), lambda p: 1.0 / p.importance)
     loser = _packet(pid=99, importance=0.2)
-    evicted = q.enqueue(loser, lambda p: 1.0 / p.importance, now=0.0)
+    evicted = q.enqueue(loser, lambda p: 1.0 / p.importance)
     assert evicted is loser
     assert len(q) == 50
 
@@ -114,11 +113,11 @@ def test_sentinel_packet_evicted_first():
     q = NodeQueue(3)
     key = lambda p: GATE_SENTINEL if p.importance == 0.01 else 1.0 / p.importance
     gated = _packet(pid=0, importance=0.01)
-    q.enqueue(gated, key, now=0.0)
-    q.enqueue(_packet(pid=1, importance=0.9), key, now=0.0)
-    q.enqueue(_packet(pid=2, importance=0.9), key, now=0.0)
+    q.enqueue(gated, key)
+    q.enqueue(_packet(pid=1, importance=0.9), key)
+    q.enqueue(_packet(pid=2, importance=0.9), key)
     newcomer = _packet(pid=3, importance=0.5)
-    evicted = q.enqueue(newcomer, key, now=0.0)
+    evicted = q.enqueue(newcomer, key)
     assert evicted is gated
     assert newcomer in list(q)
 
@@ -128,30 +127,24 @@ def test_key_tie_evicts_newest():
     a = _packet(pid=0)
     b = _packet(pid=1)
     c = _packet(pid=2)
-    q.enqueue(a, lambda _: 1.0, now=0.0)
-    q.enqueue(b, lambda _: 1.0, now=0.0)
-    assert q.enqueue(c, lambda _: 1.0, now=0.0) is c
-
-
-def test_enqueue_expired_rejected():
-    q = NodeQueue(5)
-    with pytest.raises(Expired):
-        q.enqueue(_packet(deadline=1.0), lambda _: 1.0, now=1.0)
+    q.enqueue(a, lambda _: 1.0)
+    q.enqueue(b, lambda _: 1.0)
+    assert q.enqueue(c, lambda _: 1.0) is c
 
 
 def test_fifo_among_equal_keys():
     q = NodeQueue(5)
     first = _packet(pid=1)
     second = _packet(pid=2)
-    q.enqueue(first, lambda _: 1.0, now=0.0)
-    q.enqueue(second, lambda _: 1.0, now=0.0)
+    q.enqueue(first, lambda _: 1.0)
+    q.enqueue(second, lambda _: 1.0)
     assert q.sorted_items(lambda _: 1.0) == [first, second]
 
 
 def test_purge_expired_returns_dead_packets():
     q = NodeQueue(5)
-    q.enqueue(_packet(pid=0, deadline=2.0), lambda _: 1.0, now=0.0)
-    q.enqueue(_packet(pid=1, deadline=9.0), lambda _: 1.0, now=0.0)
+    q.enqueue(_packet(pid=0, deadline=2.0), lambda _: 1.0)
+    q.enqueue(_packet(pid=1, deadline=9.0), lambda _: 1.0)
     dead = q.purge_expired(now=2.0)
     assert [p.id for p in dead] == [0]
     assert len(q) == 1
@@ -168,9 +161,7 @@ class _ArrivalModel:
     def ranked(self, key_fn):
         return sorted(self.arrival, key=lambda p: (key_fn(p), self.arrival[p]))
 
-    def enqueue(self, packet, key_fn, now):
-        if now >= packet.deadline:
-            raise Expired
+    def enqueue(self, packet, key_fn):
         self.arrival[packet] = self.counter
         self.counter += 1
         if len(self.arrival) <= self.capacity:
@@ -201,15 +192,7 @@ def test_queue_ranks_and_evicts_like_an_arrival_counter(capacity, ops):
         key_fn = lambda p, m=m: GATE_SENTINEL if p.id % 7 == 6 else (p.id * 5 + m) % (m + 1)
         if op == "enq":
             p = _packet(pid=pid, deadline=now + a)
-            try:
-                evicted = q.enqueue(p, key_fn, now)
-            except Expired:
-                evicted = Expired
-            try:
-                expected = model.enqueue(p, key_fn, now)
-            except Expired:
-                expected = Expired
-            assert evicted is expected
+            assert q.enqueue(p, key_fn) is model.enqueue(p, key_fn)
         elif op == "remove" and len(model.arrival):
             victim = model.ranked(key_fn)[a % len(model.arrival)]
             q.remove(victim)
@@ -256,7 +239,8 @@ def test_tracker_bounds_random():
         ok = bool(rng.integers(0, 2))
         tr.record(ok)
         window = (window + [ok])[-7:]
-        assert tr.value == pytest.approx(sum(window) / len(window))
+        # the kept hit count gives exactly the recomputed ratio
+        assert tr.value == sum(window) / len(window)
         assert 0.0 <= tr.value <= 1.0
 
 
@@ -392,6 +376,21 @@ def test_delivery_at_exact_deadline_counts_on_time():
     # generated at 0.5, granted the 0.5 s frame's first slot, 0.5 s on air
     assert finals[0]["t"] == pytest.approx(1.0, abs=1e-12)
     assert finals[0]["ok"] == 1
+
+
+@pytest.mark.parametrize("gate_mode", ["sentinel", "drop"])
+def test_relay_drops_a_packet_that_arrives_after_its_deadline(gate_mode):
+    """Generated at 0.5 s with a 0.45 s budget, the packet leaves node 0 at
+    once and, 0.5 s on air, reaches relay 1 at 1.0 s, past its deadline:
+    the arrival rule drops it there as expired, and node 1 never sends it."""
+    cfg = _scripted_cfg(energy={"link_rate": 16000.0}, flow={"deadline_budget": 0.45},
+                        options={"gate_mode": gate_mode})
+    for scheme in ("mdlps", "data"):
+        trace = Simulation(cfg, seed=1, scheme=scheme).run()
+        assert [(rec["t"], rec["u"], rec["v"]) for rec in trace if rec["k"] == "tx"] == [
+            (0.5, 0, 1)], scheme
+        assert [(rec["t"], rec["n"], rec["c"]) for rec in trace if rec["k"] == "drop"] == [
+            (1.0, 1, "expired")], scheme
 
 
 def test_delivery_after_deadline_is_deadline_miss():
