@@ -1,7 +1,7 @@
 """Check that two source trees produce byte-identical traces.
 
 Hashes (sha256) the canonical JSONL trace, `engine.trace_to_jsonl`, of every
-run of a fixed set: seeds 1-20 x both schemes on eleven 22-40-node scenarios,
+run of a fixed set: seeds 1-20 x both schemes on twelve 22-40-node scenarios,
 plus 1000 nodes at the stock 250 m range for 20 s, seeds 1-2 x both schemes.
 The `mwsnsim` package is imported from --src. One line per run is printed:
 the run, its trace hash, one `kind:hash` pair per record kind (the hash of
@@ -74,6 +74,13 @@ TWO_NETWORKS = {
     ],
 }
 
+# nodes start on a square lattice whose spacing is exactly the 250 m range,
+# so the t = 0 graph tests many pairs at exactly the range
+EXACT_RANGE_LATTICE = {
+    "radio": {"nominal_range": 250.0},
+    "node_placement": [[500.0 + 250.0 * (i % 5), 500.0 + 250.0 * (i // 5)] for i in range(22)],
+}
+
 SCHEMES = ("mdlps", "data")
 # name -> (config overrides or a file under configs/, seeds)
 RUN_SET = {
@@ -94,6 +101,7 @@ RUN_SET = {
     # rule's checks shows in the trace
     "slow_link_gated": ({"energy": {"link_rate": 40000.0}, "radio": {"nominal_range": 400.0},
                          "options": {"gate_mode": "drop"}}, range(1, 21)),
+    "exact_range_lattice": (EXACT_RANGE_LATTICE, range(1, 21)),
     "fleet1000": ({"node_count": 1000, "session_duration": 20.0}, range(1, 3)),
 }
 

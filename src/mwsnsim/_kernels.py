@@ -1,10 +1,11 @@
 """Numeric kernels: fleet positions on waypoint legs and all-pairs link
 power.
 
-`MobilityField.positions_at` evaluates the fleet with step_waypoints. The
-engine no longer calls pair_power: radio.build_graph tests only the pairs
-its cell grid yields, and the dense power matrix stays as the reference the
-graph tests compare against. Both kernels are plain numpy.
+`MobilityField.positions_at` evaluates the fleet with step_waypoints.
+Nothing in the package calls pair_power: links are radio.in_disc on the
+candidate pairs of radio.build_graph's cell grid, and the graph tests'
+dense reference is the distance rule. pair_power stays only because the
+perfbench layer spans wrap it by name. Both kernels are plain numpy.
 """
 
 import numpy as np

@@ -18,6 +18,8 @@ from typing import Any, Callable
 
 import yaml
 
+from .radio import params_for_range, range_for_threshold
+
 SPEED_OF_LIGHT = 299792458.0
 
 
@@ -287,6 +289,16 @@ class ScenarioConfig:
         return validate_config(d)
 
 
+def _finite_disc(radio: dict[str, Any]) -> bool:
+    """Whether the radio section implies a reception threshold that is
+    finite and > 0 and a finite range, the radius of every link's disc."""
+    try:
+        params = params_for_range(radio, SPEED_OF_LIGHT / radio["frequency"])
+        return 0 < params.rx_threshold < math.inf and math.isfinite(range_for_threshold(params))
+    except ArithmeticError:  # a division by zero or an overflow on extreme values
+        return False
+
+
 def _validate(d: dict[str, Any]) -> dict[str, Any]:
     for path, (_, rule) in SCHEMA.items():
         section, _, key = path.rpartition(".")
@@ -311,6 +323,9 @@ def _validate(d: dict[str, Any]) -> dict[str, Any]:
              "mobility.controlled_speed_cap", "must lie strictly between 0 and speed_max")
     _require(o["density_weight"] + o["bandwidth_weight"] > 0,
              "options.density_weight", "weights must not both be zero")
+    _require(_finite_disc(d["radio"]), "radio.nominal_range",
+             "with the other radio fields, must give a finite reception threshold > 0"
+             " and a finite range")
 
     for name, schema in _entry_schemas(d, n_sensors).items():
         if d[name] is not None:

@@ -4,13 +4,15 @@ crossover to free space, threshold reception, and the connectivity graph.
 Received power follows Friis (1/d^2) below the crossover distance
 d_c = 4*pi*h_t*h_r / lambda and the two-ray law (1/d^4) at and beyond it;
 the two branches coincide at d_c. Reception is a hard threshold on power,
-which makes connectivity a deterministic disc model.
+which falls strictly with distance, so connectivity is a disc model (a unit
+disk graph): two nodes link when d^2 <= r^2, r = range_for_threshold, the
+rule in_disc states once. The path-loss law only fixes the threshold and r.
 
 A uniform grid of cells whose side is the reception range yields the
 candidate pairs of the connectivity graph (a fixed-radius near-neighbour
 search; Bentley, Stanat & Williams, IPL 1977), and only those pairs go
-through the exact power test. Adjacency is built as compressed sparse rows
-and kept as one tuple of neighbours per node.
+through the disc test. Adjacency is built as compressed sparse rows and
+kept as one tuple of neighbours per node.
 """
 
 from __future__ import annotations
@@ -21,9 +23,6 @@ from dataclasses import dataclass, replace
 from types import MappingProxyType
 
 import numpy as np
-
-# distance clamp for co-located nodes when evaluating link power
-EPS_DISTANCE = 1e-6
 
 
 class ZeroDistance(Exception):
@@ -114,17 +113,23 @@ def params_for_range(section: dict, wavelength: float) -> RadioParams:
     return replace(base, rx_threshold=threshold_for_range(base, section["nominal_range"]))
 
 
-def in_range(params: RadioParams, a: tuple[float, float], b: tuple[float, float]) -> bool:
-    """True when received power between positions a and b meets the threshold.
-
-    The distance is build_graph's expression, so a link the graph holds is
-    never refused at an unchanged distance. Co-located nodes are treated as
-    separated by a tiny epsilon distance.
-    """
+def _squared_distance(a, b):
     dx = a[0] - b[0]
     dy = a[1] - b[1]
-    d = max(math.sqrt(dx * dx + dy * dy), EPS_DISTANCE)
-    return received_power(params, d) >= params.rx_threshold
+    return dx * dx + dy * dy
+
+
+def in_disc(point, centre, radius):
+    """True when point lies in the closed disc about centre: a point at
+    exactly the radius is inside. Coordinates may be floats or arrays, which
+    are compared elementwise with the same arithmetic."""
+    return _squared_distance(point, centre) <= radius * radius
+
+
+def in_range(params: RadioParams, a: tuple[float, float], b: tuple[float, float]) -> bool:
+    """True when positions a and b are linked: build_graph's disc rule, so a
+    link the graph holds is never refused at an unchanged distance."""
+    return in_disc(a, b, range_for_threshold(params))
 
 
 class ConnectivityGraph:
@@ -170,7 +175,7 @@ class ConnectivityGraph:
 # bounds the cell coordinates when the range is tiny against the layout, so
 # the int64 cell keys cannot overflow and the rounding of a coordinate stays
 # far below the 1e-9 slack of the cell side; larger cells only add
-# candidates that the exact test rejects.
+# candidates that the disc test rejects.
 _MIN_CELL_FRACTION = 2.0 ** -20
 
 
@@ -213,9 +218,9 @@ def build_graph(ids, px: np.ndarray, py: np.ndarray, params: RadioParams) -> Con
     """Connectivity graph over the given nodes at the given positions.
 
     ids[i] is the node id whose position is (px[i], py[i]). An edge exists
-    exactly when link power meets the reception threshold; the relation is
-    symmetric by construction. Only the candidate pairs of the cell grid are
-    tested, with the same expression as received_power and in_range.
+    exactly when the two positions are in_disc at the reception range, the
+    rule in_range applies; the relation is symmetric by construction. Only
+    the candidate pairs of the cell grid are tested.
     """
     ids = np.asarray(ids, dtype=np.int64)
     by_id = np.argsort(ids, kind="stable")
@@ -223,13 +228,9 @@ def build_graph(ids, px: np.ndarray, py: np.ndarray, params: RadioParams) -> Con
     px = np.asarray(px, dtype=float)[by_id]
     py = np.asarray(py, dtype=float)[by_id]
     n = len(ids)
-    i, j = candidate_pairs(px, py, range_for_threshold(params) * (1.0 + 1e-9))
-    dx = px[i] - px[j]
-    dy = py[i] - py[j]
-    d = np.maximum(np.sqrt(dx * dx + dy * dy), EPS_DISTANCE)
-    power = np.where(d < crossover_distance(params), friis_coefficient(params) / (d * d),
-                     tworay_coefficient(params) / (d * d * d * d))
-    linked = power >= params.rx_threshold
+    r = range_for_threshold(params)
+    i, j = candidate_pairs(px, py, r * (1.0 + 1e-9))
+    linked = in_disc((px[i], py[i]), (px[j], py[j]), r)
     i = i[linked]
     j = j[linked]
     # row-major (row, column) codes of both directions of every edge; rows

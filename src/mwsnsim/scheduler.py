@@ -20,6 +20,7 @@ import heapq
 from dataclasses import dataclass
 
 from .mobility import MobilityClass
+from .radio import _squared_distance, in_disc
 
 # gate sentinel: strictly greater than every finite priority index
 GATE_SENTINEL = float("inf")
@@ -121,18 +122,6 @@ def candidate_key(c: Candidate):
     """Total-order sort key: index ascending, mobility class descending,
     battery band ascending (below-threshold last), node id ascending."""
     return (c.pi, -int(c.mob_class), _battery_rank(c.batt_level), c.node)
-
-
-def _squared_distance(a: tuple[float, float], b: tuple[float, float]) -> float:
-    dx = a[0] - b[0]
-    dy = a[1] - b[1]
-    return dx * dx + dy * dy
-
-
-def in_disc(point: tuple[float, float], centre: tuple[float, float], radius: float) -> bool:
-    """True when point lies in the closed disc about centre: a point at
-    exactly the radius is inside."""
-    return _squared_distance(point, centre) <= radius * radius
 
 
 def nearest(point: tuple[float, float], candidates, positions) -> int | None:

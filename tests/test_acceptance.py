@@ -217,7 +217,8 @@ def test_criterion_4_data_priority_fixes_execution_order():
     cfg = _table1_event_cfg()
     reporter = 0
     seeds = list(range(1, 101))
-    Simulation(cfg, seed=1, scheme="data").run()  # warm the JIT before timing
+    # one untimed run first, so lazy imports and caches are warm before timing
+    Simulation(cfg, seed=1, scheme="data").run()
     start = time.perf_counter()
     first_frame_grants = 0
     ranks = {"data": [], "mdlps": []}

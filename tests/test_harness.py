@@ -144,6 +144,33 @@ def test_non_finite_number_rejected(doc, field):
     assert err.value.field == field
 
 
+@pytest.mark.parametrize("radio", [
+    # the threshold's distance squares to zero, or the wavelength is inf
+    "{nominal_range: 1.0e-300}",
+    "{frequency: 1.0e-300}",
+    # a height whose square overflows
+    "{antenna_height_tx: 1.0e+200}",
+    # threshold inf, range 0 or nan
+    "{nominal_range: 1.0e-160}",
+    "{tx_power: 1.0e+308, tx_gain: 10.0}",
+    # threshold 0, range inf
+    "{nominal_range: 1.0e+90}",
+])
+def test_radio_without_a_finite_disc_rejected(radio, tmp_path, capsys):
+    """A radio section must imply a finite reception threshold > 0 and a
+    finite range; the CLI refuses it before any run."""
+    with pytest.raises(ValidationError) as err:
+        loads_config(f"radio: {radio}")
+    assert err.value.field == "radio.nominal_range"
+    cfg_path = tmp_path / "radio.yaml"
+    cfg_path.write_text(f"radio: {radio}\n")
+    out = tmp_path / "o"
+    code = cli_main(["run", "--config", str(cfg_path), "--out", str(out), "--no-traces"])
+    assert code != 0
+    assert "radio.nominal_range" in capsys.readouterr().err
+    assert not (out / "aggregate.csv").exists()
+
+
 def test_shipped_configs_load_and_stock_is_the_empty_document():
     for name in sorted(os.listdir(CONFIG_DIR)):
         load_config(os.path.join(CONFIG_DIR, name))

@@ -12,19 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mwsnsim
-from mwsnsim import _kernels
+from mwsnsim import validate_config
 from mwsnsim.radio import (
-    EPS_DISTANCE,
     RadioParams,
     ZeroDistance,
     build_graph,
     crossover_distance,
-    friis_coefficient,
     in_range,
+    params_for_range,
     range_for_threshold,
     received_power,
     threshold_for_range,
-    tworay_coefficient,
 )
 
 
@@ -115,6 +113,15 @@ def test_colocated_nodes_in_range():
     assert in_range(_params(rx_threshold=thr), (5.0, 5.0), (5.0, 5.0))
 
 
+def test_colocated_nodes_link_at_a_sub_micrometre_range():
+    """Co-located nodes are at distance 0, inside every closed disc, however
+    small its radius."""
+    p = _params(rx_threshold=threshold_for_range(_params(), 1e-12))
+    assert in_range(p, (5.0, 5.0), (5.0, 5.0))
+    g = build_graph([0, 1], np.array([5.0, 5.0]), np.array([5.0, 5.0]), p)
+    assert g.has_edge(0, 1)
+
+
 def test_symmetry():
     thr = threshold_for_range(_params(), 250.0)
     p = _params(rx_threshold=thr)
@@ -137,6 +144,23 @@ def test_in_range_agrees_with_graph_on_a_rounding_pair():
     p = _params(rx_threshold=threshold_for_range(_params(), 250.0))
     assert _agrees_with_graph(p, (1509.5021550594522, 741.0891564079636),
                               (1736.2231661791989, 635.7440895237487))
+
+
+@pytest.mark.parametrize("nominal", [80.0, 100.0, 250.0, 300.0, 400.0, 420.0, 450.0, 500.0,
+                                     600.0, 700.0, 800.0, 900.0])
+def test_pairs_at_the_range_and_one_ulp_beyond(nominal):
+    """At the round ranges of the shipped configs and the tests, the range r
+    implied by the threshold is the nominal range exactly, and a pair placed
+    r apart links. At r and at the next float beyond it, in_range and
+    has_edge give the same answer."""
+    cfg = validate_config({"radio": {"nominal_range": nominal}})
+    p = params_for_range(cfg["radio"], cfg.wavelength)
+    r = range_for_threshold(p)
+    assert r == nominal
+    assert in_range(p, (100.0, 100.0), (100.0 + r, 100.0))
+    for d in (r, math.nextafter(r, math.inf)):
+        assert _agrees_with_graph(p, (0.0, 0.0), (d, 0.0)), d
+        assert _agrees_with_graph(p, (100.0, 100.0), (100.0, 100.0 + d)), d
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
@@ -165,14 +189,13 @@ def test_graph_matches_brute_force_all_pairs():
     n = 22
     px = rng.uniform(0, 2000, n)
     py = rng.uniform(0, 2000, n)
-    thr = threshold_for_range(_params(), 420.0)
-    p = _params(rx_threshold=thr)
+    p = _params(rx_threshold=threshold_for_range(_params(), 420.0))
+    r = range_for_threshold(p)
     g = build_graph(list(range(n)), px, py, p)
     for i in range(n):
         for j in range(i + 1, n):
-            d = math.hypot(px[i] - px[j], py[i] - py[j])
-            expected = received_power(p, max(d, 1e-6)) >= thr
-            assert g.has_edge(i, j) == expected, (i, j, d)
+            dx, dy = px[i] - px[j], py[i] - py[j]
+            assert g.has_edge(i, j) == (dx * dx + dy * dy <= r * r), (i, j, dx, dy)
     for node in range(n):
         assert list(g.neighbors(node)) == sorted(g.neighbors(node))
 
@@ -188,11 +211,13 @@ def test_separated_clusters_are_disconnected_components():
 
 
 def _dense_edges(ids, px, py, p):
-    """Edge set by the all-pairs power matrix of the dense kernel."""
-    power, _ = _kernels.pair_power(
-        np.asarray(px, dtype=float), np.asarray(py, dtype=float), crossover_distance(p),
-        friis_coefficient(p), tworay_coefficient(p), EPS_DISTANCE)
-    i, j = np.nonzero(np.triu(power >= p.rx_threshold, k=1))
+    """Edge set by the dense distance rule d^2 <= r^2 over all pairs."""
+    px = np.asarray(px, dtype=float)
+    py = np.asarray(py, dtype=float)
+    dx = px[:, None] - px[None, :]
+    dy = py[:, None] - py[None, :]
+    r = range_for_threshold(p)
+    i, j = np.nonzero(np.triu(dx * dx + dy * dy <= r * r, k=1))
     return {tuple(sorted((ids[a], ids[b]))) for a, b in zip(i.tolist(), j.tolist())}
 
 
