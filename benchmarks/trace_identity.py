@@ -1,7 +1,7 @@
 """Check that two source trees produce byte-identical traces.
 
 Hashes (sha256) the canonical JSONL trace, `engine.trace_to_jsonl`, of every
-run of a fixed set: seeds 1-20 x both schemes on twelve 22-40-node scenarios,
+run of a fixed set: seeds 1-20 x both schemes on fifteen 22-40-node scenarios,
 plus 1000 nodes at the stock 250 m range for 20 s, seeds 1-2 x both schemes.
 The `mwsnsim` package is imported from --src. One line per run is printed:
 the run, its trace hash, one `kind:hash` pair per record kind (the hash of
@@ -81,6 +81,27 @@ EXACT_RANGE_LATTICE = {
     "node_placement": [[500.0 + 250.0 * (i % 5), 500.0 + 250.0 * (i // 5)] for i in range(22)],
 }
 
+# emissions every quarter second: each frame boundary, and each slot at a
+# quarter-second offset, coincides with an emission of every flow
+CBR_QUARTER = {"cbr_interval": 0.25, "session_duration": 30.0,
+               "radio": {"nominal_range": 800.0}}
+# three flows to the sink whose periods meet at different instants, one of
+# them off the frame grid until its emissions line up with it
+MIXED_FLOWS = {
+    "session_duration": 30.0,
+    "radio": {"nominal_range": 800.0},
+    "flows": [{"id": "a", "src": 0, "dst": 21, "interval": 0.3},
+              {"id": "b", "src": 1, "dst": 21, "interval": 0.5},
+              {"id": "c", "src": 2, "dst": 21, "interval": 0.75, "start": 0.25}],
+}
+# a critical event at the instant of the first frame boundary
+CRIT_AT_0 = {
+    "session_duration": 30.0,
+    "radio": {"nominal_range": 800.0},
+    "critical_events": [{"time": 0.0, "x": 1000.0, "y": 1000.0, "radius": 400.0},
+                        {"time": 1.5, "x": 800.0, "y": 1200.0, "radius": 500.0}],
+}
+
 SCHEMES = ("mdlps", "data")
 # name -> (config overrides or a file under configs/, seeds)
 RUN_SET = {
@@ -102,6 +123,11 @@ RUN_SET = {
     "slow_link_gated": ({"energy": {"link_rate": 40000.0}, "radio": {"nominal_range": 400.0},
                          "options": {"gate_mode": "drop"}}, range(1, 21)),
     "exact_range_lattice": (EXACT_RANGE_LATTICE, range(1, 21)),
+    # instants where emissions of several flows, frame boundaries, slots and
+    # critical events coincide, so the order of simultaneous events shows
+    "cbr_quarter": (CBR_QUARTER, range(1, 21)),
+    "mixed_flows": (MIXED_FLOWS, range(1, 21)),
+    "crit_at_0": (CRIT_AT_0, range(1, 21)),
     "fleet1000": ({"node_count": 1000, "session_duration": 20.0}, range(1, 3)),
 }
 
