@@ -1,11 +1,12 @@
 """Deterministic discrete-event core and the simulation run loop.
 
-The engine owns a virtual clock, a (time, sequence)-ordered event queue and
-one seeded random stream per purpose (per node for mobility), all derived
-from a single master seed so adding a consumer never perturbs existing draw
-sequences. A Simulation wires the mobility, radio, energy, scheduling and
-traffic planes together and replays identically for identical configuration
-and seed: the trace it produces is byte-stable.
+The engine owns a virtual clock, an event queue with one written order for
+simultaneous events (see `EventQueue`) and one seeded random stream per
+purpose (per node for mobility), all derived from a single master seed so
+adding a consumer never perturbs existing draw sequences. A Simulation
+wires the mobility, radio, energy, scheduling and traffic planes together
+and replays identically for identical configuration and seed: the trace it
+produces is byte-stable.
 """
 
 from __future__ import annotations
@@ -34,23 +35,33 @@ class BadRange(Exception):
     pass
 
 
+SETUP, LAST = 0, math.inf  # ranks of simultaneous events; see EventQueue
+
+
 class Event(NamedTuple):
     """A scheduled event: at `time` the loop calls `handler(sim, event)`.
     The handler is a plain function such as `Simulation._on_frame_boundary`,
     never a bound method, so a queued event holds no reference back to its
-    simulation. Heap order is (time, seq), and seq is unique, so handler and
-    payload are never compared."""
+    simulation. Heap order is (time, rank, seq), and seq is unique, so
+    handler and payload are never compared."""
 
     time: float
+    rank: float
     seq: int
     handler: Callable
     payload: tuple
 
 
 class EventQueue:
-    """Min-heap of events keyed by (time, sequence); sequence numbers are
-    assigned at schedule time, so simultaneous events dequeue FIFO. The
-    count of events scheduled so far is the next sequence number."""
+    """Min-heap of events keyed by (time, rank, seq), seq being the count of
+    events scheduled before. At one instant a simulation's events run in
+    this order, so a critical event and the instant's emissions come before
+    its frame boundary:
+      1. the events scheduled at construction (rank SETUP): the first frame
+         boundary, then the critical events by index;
+      2. packet emissions, by flow index (rank 1 + flow index);
+      3. every other event (rank LAST), in the order it was scheduled.
+    """
 
     def __init__(self):
         self._heap: list[Event] = []
@@ -60,7 +71,7 @@ class EventQueue:
     def __len__(self) -> int:
         return len(self._heap)
 
-    def schedule(self, time: float, handler: Callable, payload: tuple = ()) -> int:
+    def schedule(self, time: float, handler: Callable, payload: tuple = (), rank=LAST) -> int:
         """Enqueue an event; returns its sequence handle."""
         if time < self.now:
             raise PastEvent(f"event at {time} is before the clock at {self.now}")
@@ -68,7 +79,7 @@ class EventQueue:
             raise ValueError("event time must be finite")
         seq = self.scheduled
         self.scheduled += 1
-        heapq.heappush(self._heap, Event(time, seq, handler, payload))
+        heapq.heappush(self._heap, Event(time, rank, seq, handler, payload))
         return seq
 
     def peek_time(self) -> float | None:
@@ -298,13 +309,19 @@ class Simulation:
         self.active_events: list[tuple[float, float, float]] = []
 
     def _schedule_initial_events(self) -> None:
-        session = self.cfg.session_duration
-        self.queue.schedule(0.0, Simulation._on_frame_boundary)
+        self.queue.schedule(0.0, Simulation._on_frame_boundary, rank=SETUP)
         for idx, ev in enumerate(self.critical_events):
-            self.queue.schedule(ev["time"], Simulation._on_critical_event, (idx,))
-        for fl in self.flows:
-            for t in traffic_mod.generate_cbr(fl, session):
-                self.queue.schedule(t, Simulation._on_packet_generated, (fl,))
+            self.queue.schedule(ev["time"], Simulation._on_critical_event, (idx,), rank=SETUP)
+        for idx in range(len(self.flows)):
+            self._schedule_emission(idx, 1)
+
+    def _schedule_emission(self, idx: int, k: int) -> None:
+        """Queue flow idx's emission k, at start + k*interval (never a running
+        sum), if that is at or before min(stop, session end)."""
+        fl = self.flows[idx]
+        t = fl.start + k * fl.interval
+        if t <= min(fl.stop, self.cfg.session_duration):
+            self.queue.schedule(t, Simulation._on_packet_generated, (idx, k), rank=1 + idx)
 
     # helpers ---------------------------------------------------------------
     def _position_map(self, t: float) -> dict[int, tuple[float, float]]:
@@ -586,7 +603,8 @@ class Simulation:
 
     def _on_packet_generated(self, ev: Event) -> None:
         t = ev.time
-        (fl,) = ev.payload
+        idx, k = ev.payload
+        fl = self.flows[idx]
         if fl.importance_override is not None:
             imp = fl.importance_override
         else:
@@ -596,14 +614,11 @@ class Simulation:
             else:
                 imp = self.streams["importance"].uniform(0.1, 0.5)
         self._generate_packet(fl.id, fl.src, fl.dst, t, imp)
+        self._schedule_emission(idx, k + 1)
 
     def run_until(self, t_end: float) -> list[dict]:
-        """Process every pending event with time <= t_end, in (time, seq)
-        order; returns the trace so far."""
-        while len(self.queue) > 0:
-            nxt = self.queue.peek_time()
-            if nxt > t_end:
-                break
+        """Process every event due by t_end, in queue order; return the trace."""
+        while len(self.queue) > 0 and self.queue.peek_time() <= t_end:
             event = self.queue.pop()
             event.handler(self, event)
         return self.trace

@@ -45,21 +45,6 @@ class Flow:
             raise ValueError("need start < stop")
 
 
-def generate_cbr(flow: Flow, until: float) -> list[float]:
-    """Emission times start + k*interval for k = 1, 2, ... up to
-    min(stop, until), boundary inclusive."""
-    horizon = min(flow.stop, until)
-    times = []
-    k = 1
-    while True:
-        t = flow.start + k * flow.interval
-        if t > horizon:
-            break
-        times.append(t)
-        k += 1
-    return times
-
-
 class NodeQueue:
     """Bounded queue ordered by the active scheme's key at inspection time.
 

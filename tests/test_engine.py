@@ -188,6 +188,39 @@ def test_run_until_twice_is_resumable():
     assert split.trace == whole.trace
 
 
+def test_simultaneous_events_run_critical_then_emissions_by_flow_then_frame():
+    """At t = 1.0 a critical event, an emission of each flow and a frame
+    boundary coincide. Flow "z"'s emission there was scheduled after the
+    frame boundary was, and flow "a"'s before it; the order is still the
+    critical event, the emissions in flow order, then the boundary."""
+    cfg = validate_config({
+        "session_duration": 2.0,
+        "flows": [{"id": "z", "src": 0, "dst": 21, "interval": 0.375, "start": 0.25},
+                  {"id": "a", "src": 1, "dst": 21, "interval": 0.5}],
+        "critical_events": [{"time": 1.0, "x": 1000.0, "y": 1000.0, "radius": 400.0,
+                             "emit_reports": False}],
+    })
+    trace = Simulation(cfg, seed=1, scheme="mdlps").run()
+    at_1 = [(rec["k"], rec.get("fl")) for rec in trace
+            if rec["t"] == 1.0 and rec["k"] in ("crit", "gen", "frame")]
+    assert at_1 == [("crit", None), ("gen", "z"), ("gen", "a"), ("frame", None)]
+
+
+def test_critical_event_at_0_follows_the_first_frame():
+    cfg = validate_config({"session_duration": 2.0, "critical_events": [
+        {"time": 0.0, "x": 1000.0, "y": 1000.0, "radius": 400.0}]})
+    kinds = [rec["k"] for rec in Simulation(cfg, seed=1, scheme="mdlps").run()]
+    assert kinds.index("frame") < kinds.index("crit")
+
+
+def test_construction_queues_one_emission_per_flow():
+    """A long session starts with the first frame boundary, each critical
+    event and one pending emission per flow, not the session's emissions."""
+    cfg = validate_config({"session_duration": 36000.0})
+    sim = Simulation(cfg, seed=1, scheme="mdlps")
+    assert len(sim.queue) == 1 + len(sim.critical_events) + len(sim.flows) == 12
+
+
 def test_default_scenario_has_transmissions_for_connected_flows():
     """Sanity: in a well-connected arena every flow gets at least one
     transmission, and generation count matches the CBR arithmetic."""

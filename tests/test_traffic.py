@@ -1,4 +1,4 @@
-"""CBR generation, bounded priority queues, hop-count routing, delivery
+"""CBR emission times, bounded priority queues, hop-count routing, delivery
 tracking, and the scripted per-hop delivery behaviors."""
 
 from collections import deque
@@ -18,7 +18,6 @@ from mwsnsim.traffic import (
     NodeQueue,
     Packet,
     PdrTracker,
-    generate_cbr,
     hop_distances,
     next_hop,
 )
@@ -65,22 +64,37 @@ def _reference_hops(edges, dst):
     return dist
 
 
-# CBR generation ------------------------------------------------------------
+# CBR emission times ----------------------------------------------------------
+
+def _gen_times(session=100.0, **flow):
+    """Times of the `gen` records of a run with one explicit flow 0 -> 21
+    and no critical event."""
+    cfg = validate_config({"session_duration": session, "critical_events": [],
+                           "flows": [{"src": 0, "dst": 21, **flow}]})
+    return [rec["t"] for rec in Simulation(cfg, seed=1).run() if rec["k"] == "gen"]
+
 
 def test_cbr_count_over_full_session():
     # 100 s at one packet per 0.5 s, first emission at 0.5: exactly 200
-    times = generate_cbr(_flow(), until=100.0)
+    times = _gen_times(interval=0.5)
     assert len(times) == 200
     assert times[0] == 0.5 and times[-1] == 100.0
 
 
 def test_cbr_nothing_before_first_interval():
-    assert generate_cbr(_flow(), until=0.4) == []
+    assert _gen_times(interval=0.5, stop=0.4) == []
 
 
 def test_cbr_boundary_emission_inclusive():
-    times = generate_cbr(_flow(interval=100.0), until=100.0)
-    assert times == [100.0]
+    assert _gen_times(interval=100.0) == [100.0]
+
+
+def test_cbr_times_are_not_a_running_sum():
+    """Emission k is at start + k*interval exactly; a running sum of the
+    interval drifts off that from the second emission on."""
+    times = _gen_times(interval=0.1, start=0.25)
+    assert times == [0.25 + k * 0.1 for k in range(1, len(times) + 1)]
+    assert len(times) == 997 and times[-1] <= 100.0 < 0.25 + 998 * 0.1
 
 
 def test_flow_validation():
