@@ -10,6 +10,15 @@ random layout of 22 nodes with the 800 m range of the event study, and of
 1000 nodes with the stock 250 m range. Each is timed in batches; the
 fastest batch mean is reported, which a busy machine disturbs least.
 
+Construction: `Simulation(...)` of the stock scenario over a 36,000 s
+session with no critical event, seed 1, mdlps, built several times, each in
+a fresh subprocess, so its peak RSS is that of the interpreter, numpy and
+this one simulation. The peak is the subprocess's `VmHWM` (Linux): its
+`ru_maxrss` would also carry the peak of the process that spawned it, since
+Linux keeps that high-water mark across exec. The median and minimum
+construction time, the events pending after construction and the largest
+peak RSS are reported.
+
 The results of one invocation go into the --out file under --label, next
 to those of earlier invocations, with the machine, Python and numpy
 versions. --src picks the source tree whose `mwsnsim` is timed, so two
@@ -26,6 +35,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import time
 
@@ -33,6 +43,21 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 RUN_SIZES = {22: 7, 200: 5, 1000: 3, 2000: 3}  # node count -> repeats
 CALL_LAYOUTS = {22: 800.0, 1000: 250.0}  # node count -> nominal range (m)
 TERRAIN = 2000.0
+LONG_SESSION = 36000.0  # seconds of the construction entry
+CONSTRUCT_REPEATS = 5
+# run in a fresh interpreter: argv is the source tree and the session length
+CONSTRUCT_CHILD = """
+import json, sys, time
+sys.path.insert(0, sys.argv[1])
+from mwsnsim import Simulation, validate_config
+cfg = validate_config({"session_duration": float(sys.argv[2]), "critical_events": []})
+t0 = time.perf_counter()
+sim = Simulation(cfg, seed=1, scheme="mdlps")
+elapsed = time.perf_counter() - t0
+with open("/proc/self/status") as fh:
+    hwm_kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+print(json.dumps({"s": elapsed, "pending": len(sim.queue), "peak_rss_mb": hwm_kb / 1024}))
+"""
 
 
 def run_config(n: int):
@@ -100,6 +125,23 @@ def time_calls() -> tuple[dict, dict]:
     return build, bfs
 
 
+def time_construction(src: str) -> dict:
+    runs = []
+    for _ in range(CONSTRUCT_REPEATS):
+        out = subprocess.run([sys.executable, "-c", CONSTRUCT_CHILD, os.path.abspath(src),
+                              str(LONG_SESSION)], check=True, capture_output=True, text=True)
+        runs.append(json.loads(out.stdout))
+    times = [r["s"] for r in runs]
+    result = {"session_s": LONG_SESSION, "median_s": statistics.median(times),
+              "min_s": min(times), "repeats": CONSTRUCT_REPEATS,
+              "pending_events": runs[0]["pending"],
+              "peak_rss_mb": max(r["peak_rss_mb"] for r in runs)}
+    print(f"construct {LONG_SESSION:.0f} s session: median {result['median_s']:.4f} s, "
+          f"{result['pending_events']} pending, {result['peak_rss_mb']:.1f} MB peak RSS",
+          flush=True)
+    return result
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="key of this invocation's results")
@@ -114,7 +156,8 @@ def main(argv=None) -> int:
 
     build, bfs = time_calls()
     result = {"backend": mwsnsim.BACKEND, "runs": time_runs(),
-              "build_graph": build, "hop_distances": bfs}
+              "build_graph": build, "hop_distances": bfs,
+              "construct": time_construction(args.src)}
     doc = {}
     if os.path.exists(args.out):
         with open(args.out, "r", encoding="utf-8") as fh:
