@@ -66,10 +66,10 @@ def _reference_hops(edges, dst):
 
 # CBR emission times ----------------------------------------------------------
 
-def _gen_times(session=100.0, **flow):
-    """Times of the `gen` records of a run with one explicit flow 0 -> 21
-    and no critical event."""
-    cfg = validate_config({"session_duration": session, "critical_events": [],
+def _gen_times(**flow):
+    """Times of the `gen` records of a 100 s run with one explicit flow
+    0 -> 21 and no critical event."""
+    cfg = validate_config({"session_duration": 100.0, "critical_events": [],
                            "flows": [{"src": 0, "dst": 21, **flow}]})
     return [rec["t"] for rec in Simulation(cfg, seed=1).run() if rec["k"] == "gen"]
 
