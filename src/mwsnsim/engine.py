@@ -55,8 +55,8 @@ class Event(NamedTuple):
 class EventQueue:
     """Min-heap of events keyed by (time, rank, seq), seq being the count of
     events scheduled before. At one instant a simulation's events run in
-    this order, so a critical event and the instant's emissions come before
-    its frame boundary:
+    this order, so after t = 0 a critical event and that instant's
+    emissions come before its frame boundary:
       1. the events scheduled at construction (rank SETUP): the first frame
          boundary, then the critical events by index;
       2. packet emissions, by flow index (rank 1 + flow index);
