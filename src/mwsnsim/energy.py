@@ -23,14 +23,6 @@ class EnergyCosts:
     idle_power: float = 0.0
     link_rate: float = 1e6  # bit/s
 
-    def __post_init__(self):
-        if min(self.tx_power, self.rx_power, self.idle_power) < 0:
-            raise ValueError("power draws must be non-negative")
-        if not (self.tx_power >= self.rx_power >= self.idle_power):
-            raise ValueError("need tx_power >= rx_power >= idle_power")
-        if self.link_rate <= 0:
-            raise ValueError("link_rate must be positive")
-
 
 @dataclass
 class BatteryState:
@@ -39,16 +31,6 @@ class BatteryState:
     hard_threshold: float = 10.0
     levels_above: int = 3
     level_penalty: float = 0.25
-
-    def __post_init__(self):
-        if not (0 <= self.level <= self.initial):
-            raise ValueError(f"level must lie in [0, {self.initial}], got {self.level}")
-        if not (0 < self.hard_threshold < self.initial):
-            raise ValueError("hard_threshold must lie strictly between 0 and initial")
-        if self.levels_above < 1:
-            raise ValueError("levels_above must be >= 1")
-        if self.level_penalty < 0:
-            raise ValueError("level_penalty must be non-negative")
 
     @property
     def depleted(self) -> bool:

@@ -373,8 +373,8 @@ class Simulation:
                 return sentinel
             if data:
                 return sched.compute_pi_data(p.importance)
-            return sched.mdlps_index(trackers[p.flow].value, flow,
-                                     sched.compute_ulb(p.deadline, t, hops), v, x)
+            return sched.compute_pi_mdlps(trackers[p.flow].value, flow,
+                                          sched.compute_ulb(p.deadline, t, hops), v, x)
         return key
 
     def _enqueue(self, node: int, packet: traffic_mod.Packet, t: float) -> None:

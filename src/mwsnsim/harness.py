@@ -130,9 +130,9 @@ def emit_report(
     """Write an experiment's files; a pure function of the reports, so
     re-emitting produces byte-identical output.
 
-    Always writes run_header.txt, summary.csv and exec_order.csv (header-only
-    when the report set is empty), plus per-run trace files and, when exactly
-    two schemes are present, ab_summary.csv.
+    Always writes run_header.txt, summary.csv, exec_order.csv and
+    aggregate.csv (header-only when the report set is empty), plus per-run
+    trace files and, when exactly two schemes are present, ab_summary.csv.
     """
     os.makedirs(out_dir, exist_ok=True)
     written = []
@@ -189,8 +189,8 @@ def run_experiment(
     """One run per seed per scheme; paired schemes share each seed's world.
 
     With an output directory, writes summary.csv, exec_order.csv,
-    run_header.txt, the per-run trace_<scheme>_s<seed>.jsonl files and, when
-    two schemes run, ab_summary.csv comparing them per seed.
+    aggregate.csv, run_header.txt, the per-run trace_<scheme>_s<seed>.jsonl
+    files and, when two schemes run, ab_summary.csv comparing them per seed.
     """
     _check_seeds(seeds)
     schemes = schemes or [config.scheduler]
@@ -264,18 +264,26 @@ def throughput_vs_connections(
     scheme: str | None = None,
     out_dir: str | None = None,
 ) -> list[tuple[int, float]]:
-    """Mean delivered kbit/s per connection count, averaged over seeds."""
+    """Mean delivered kbit/s per connection count, averaged over seeds.
+
+    Each count is the config's flow_count, so a config that lists explicit
+    flows, which override flow_count, is refused. Every count's config is
+    validated before the first run.
+    """
     if any(n < 0 for n in connection_counts):
         raise ValueError("connection counts must be non-negative")
+    if config["flows"] is not None:
+        raise ValueError("flows: the sweep varies flow_count, which explicit flows "
+                         "override; set flows to null")
     _check_seeds(seeds)
     scheme = scheme or config.scheduler
+    configs = {n: config.with_overrides(flow_count=n) for n in connection_counts if n}
     series: list[tuple[int, float]] = []
     for n in connection_counts:
         if n == 0:
             series.append((0, 0.0))
             continue
-        cfg_n = config.with_overrides(flow_count=n)
-        vals = [run_one(cfg_n, seed, scheme).throughput for seed in seeds]
+        vals = [run_one(configs[n], seed, scheme).throughput for seed in seeds]
         series.append((n, sum(vals) / len(vals)))
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

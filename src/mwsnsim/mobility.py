@@ -17,10 +17,6 @@ import numpy as np
 from . import _kernels
 
 
-class BadThresholds(Exception):
-    pass
-
-
 class UnknownNode(Exception):
     pass
 
@@ -32,10 +28,9 @@ class MobilityClass(IntEnum):
 
 
 def classify_mobility(speed: float, thresholds: tuple[float, float]) -> MobilityClass:
-    """Map a speed to V_L / V_M / V_H. Boundary speeds classify upward."""
+    """Map a speed to V_L / V_M / V_H, given thresholds 0 <= v1 < v2.
+    Boundary speeds classify upward."""
     v1, v2 = thresholds
-    if not (0.0 <= v1 < v2):
-        raise BadThresholds(f"need 0 <= v1 < v2, got ({v1}, {v2})")
     if speed < v1:
         return MobilityClass.V_L
     if speed < v2:

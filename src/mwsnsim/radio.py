@@ -25,10 +25,6 @@ from types import MappingProxyType
 import numpy as np
 
 
-class ZeroDistance(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class RadioParams:
     tx_power: float = 0.28183815
@@ -39,16 +35,6 @@ class RadioParams:
     system_loss: float = 1.0
     wavelength: float = 0.328
     rx_threshold: float = 3.652e-10
-
-    def __post_init__(self):
-        for name in ("tx_power", "tx_gain", "rx_gain", "antenna_height_tx",
-                     "antenna_height_rx", "wavelength"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
-        if self.system_loss < 1.0:
-            raise ValueError("system_loss must be >= 1")
-        if self.rx_threshold < 0:
-            raise ValueError("rx_threshold must be non-negative")
 
 
 def crossover_distance(params: RadioParams) -> float:
@@ -70,11 +56,7 @@ def tworay_coefficient(params: RadioParams) -> float:
 
 
 def received_power(params: RadioParams, d: float) -> float:
-    """Received power in watts at distance d (meters)."""
-    if d == 0:
-        raise ZeroDistance("received power undefined at zero distance")
-    if d < 0:
-        raise ValueError("distance must be positive")
+    """Received power in watts at distance d > 0 (meters)."""
     if d < crossover_distance(params):
         return friis_coefficient(params) / (d * d)
     return tworay_coefficient(params) / (d * d * d * d)
@@ -82,9 +64,7 @@ def received_power(params: RadioParams, d: float) -> float:
 
 def threshold_for_range(params: RadioParams, nominal_range: float) -> float:
     """Reception threshold that makes the effective radio range equal
-    nominal_range under these parameters."""
-    if nominal_range <= 0:
-        raise ValueError("nominal_range must be positive")
+    nominal_range > 0 under these parameters."""
     return received_power(params, nominal_range)
 
 

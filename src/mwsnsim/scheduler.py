@@ -26,14 +26,6 @@ from .radio import _squared_distance, in_disc
 GATE_SENTINEL = float("inf")
 
 
-class ZeroVelocity(Exception):
-    pass
-
-
-class EmptyGrid(Exception):
-    pass
-
-
 class FrozenGrid(Exception):
     pass
 
@@ -43,16 +35,6 @@ class FlowParams:
     desired_pdr: float = 0.9
     pdr_threshold: float = 0.25
     deadline_budget: float = 5.0
-
-    def __post_init__(self):
-        if not (0 < self.desired_pdr <= 1):
-            raise ValueError("desired_pdr must lie in (0, 1]")
-        if not (0 <= self.pdr_threshold < 1):
-            raise ValueError("pdr_threshold must lie in [0, 1)")
-        if self.desired_pdr <= self.pdr_threshold:
-            raise ValueError("desired_pdr must exceed pdr_threshold")
-        if self.deadline_budget <= 0:
-            raise ValueError("deadline_budget must be positive")
 
 
 def compute_ulb(deadline: float, now: float, hops: int) -> float:
@@ -76,23 +58,11 @@ def pdr_gate(pi: float, pdr: float, flow: FlowParams) -> float:
 
 def compute_pi_mdlps(pdr: float, flow: FlowParams, ulb: float, v: float, x: float) -> float:
     """Laxity-based priority index: (pdr / desired) * ulb * (1/v) * x,
-    passed through the delivery-ratio gate. Lower value = higher priority."""
-    if v == 0:
-        raise ZeroVelocity("velocity must be positive; clamp paused nodes before calling")
-    if v < 0:
-        raise ValueError("velocity must be positive")
-    if not (0 <= pdr <= 1):
-        raise ValueError("pdr must lie in [0, 1]")
-    if x < 1:
-        raise ValueError("battery factor must be >= 1")
-    if ulb < 0:
-        raise ValueError("ulb must be non-negative")
-    return mdlps_index(pdr, flow, ulb, v, x)
+    passed through the delivery-ratio gate. Lower value = higher priority.
 
-
-def mdlps_index(pdr: float, flow: FlowParams, ulb: float, v: float, x: float) -> float:
-    """compute_pi_mdlps without the argument checks, for callers that
-    guarantee the ranges it validates (the engine's per-packet key)."""
+    Callers guarantee v > 0 (the engine floors speeds at the config's
+    positive velocity_floor), pdr in [0, 1] and x >= 1 (battery_factor);
+    the index does not check them."""
     return pdr_gate((pdr / flow.desired_pdr) * ulb * (1.0 / v) * x, pdr, flow)
 
 
@@ -154,10 +124,6 @@ def network_priority(
     flag is True. Ties break by network id.
     """
     networks = list(networks)
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if w_density < 0 or w_bandwidth < 0 or (w_density == 0 and w_bandwidth == 0):
-        raise ValueError("weights must be non-negative and not both zero")
     if not networks:
         return {}, False
     in_area = {net.id: sum(in_disc(positions[node], event_xy, radius) for node in net.members)
@@ -240,8 +206,6 @@ def allocate_slots(sources, grid: SlotGrid) -> SlotGrid:
     Positions fill in scan order (frequency-major, then slot); the result is
     frozen until the grid is re-armed by the next critical event.
     """
-    if grid.capacity == 0:
-        raise EmptyGrid("grid has no positions")
     if not grid.armed:
         raise FrozenGrid("allocation without an intervening critical event")
     positions = grid.positions()

@@ -38,12 +38,6 @@ class Flow:
     stop: float = 100.0
     importance_override: float | None = None
 
-    def __post_init__(self):
-        if self.interval <= 0:
-            raise ValueError("interval must be positive")
-        if not (self.start < self.stop):
-            raise ValueError("need start < stop")
-
 
 class NodeQueue:
     """Bounded queue ordered by the active scheme's key at inspection time.
@@ -59,8 +53,6 @@ class NodeQueue:
     """
 
     def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self._items: list[Packet] = []
 
@@ -112,8 +104,6 @@ class PdrTracker:
     """
 
     def __init__(self, window: int = 20):
-        if window < 1:
-            raise ValueError("window must be >= 1")
         self._outcomes: deque[bool] = deque(maxlen=window)
         self._hits = 0
 

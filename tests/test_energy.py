@@ -58,13 +58,6 @@ def test_idle_drain_is_power_times_seconds():
     assert st.level == pytest.approx(49.5)
 
 
-def test_costs_ordering_validated():
-    with pytest.raises(ValueError):
-        EnergyCosts(tx_power=0.1, rx_power=0.3)
-    with pytest.raises(ValueError):
-        EnergyCosts(link_rate=0.0)
-
-
 def test_level_index_below_threshold():
     assert battery_level(_state(5.0)) == 0
 
@@ -123,12 +116,3 @@ def test_factor_shape_quick_sweep():
         at_threshold = battery_factor(_state(threshold, initial, threshold, levels, penalty))
         assert at_threshold == 1.0
         assert all(x >= at_threshold for x in xs_below + xs_above)
-
-
-def test_state_validation():
-    with pytest.raises(ValueError):
-        _state(60.0)                 # above initial
-    with pytest.raises(ValueError):
-        _state(5.0, threshold=50.0)  # threshold not below initial
-    with pytest.raises(ValueError):
-        BatteryState(level=1.0, initial=50.0, hard_threshold=10.0, levels_above=0)

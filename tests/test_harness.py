@@ -137,6 +137,27 @@ def test_repeated_flow_id_rejected(flows):
     # every node in exactly one network, so each node has a network rank
     (_two_networks("id: a", "id: b", range(11, 21)), "networks"),
     (_two_networks("id: a", "id: b", range(10, 22)), "networks[1].members"),
+    # the plane types take these as given, so config is their only check
+    ("energy: {tx_power: 0.1}", "energy.tx_power"),
+    ("energy: {link_rate: 0.0}", "energy.link_rate"),
+    ("energy: {battery_levels: 0}", "energy.battery_levels"),
+    ("energy: {battery_threshold: 50.0}", "energy.battery_threshold"),
+    ("energy: {level_penalty: -0.5}", "energy.level_penalty"),
+    ("mobility: {class_thresholds: [15.0, 5.0]}", "mobility.class_thresholds"),
+    ("mobility: {class_thresholds: [5.0, 5.0]}", "mobility.class_thresholds"),
+    ("radio: {tx_power: 0.0}", "radio.tx_power"),
+    ("radio: {system_loss: 0.5}", "radio.system_loss"),
+    ("radio: {nominal_range: 0.0}", "radio.nominal_range"),
+    ("flows: [{src: 0, dst: 21, interval: 0.0}]", "flows[0].interval"),
+    ("flows: [{src: 0, dst: 21, start: 5.0, stop: 5.0}]", "flows[0].stop"),
+    ("critical_events: [{time: 1.0, x: 0.0, y: 0.0, radius: -1.0}]",
+     "critical_events[0].radius"),
+    ("options: {density_weight: 0.0, bandwidth_weight: 0.0}", "options.density_weight"),
+    ("options: {velocity_floor: 0.0}", "options.velocity_floor"),
+    ("grid: {frequencies: 0}", "grid.frequencies"),
+    ("queue_size: 0", "queue_size"),
+    ("flow: {pdr_window: 0}", "flow.pdr_window"),
+    ("flow: {deadline_budget: 0.0}", "flow.deadline_budget"),
 ])
 def test_non_finite_number_rejected(doc, field):
     with pytest.raises(ValidationError) as err:
@@ -276,16 +297,21 @@ def test_experiment_requires_seeds():
         run_experiment(_fast_cfg(), [], ["mdlps"])
 
 
-@pytest.mark.parametrize("seeds", [[], [-1], [1, -1], [1, True], [1, 2.0]])
-def test_seeds_checked_before_any_run(seeds, monkeypatch):
-    """Both entry points refuse what the config's seed field refuses, before
-    the first run, rather than failing inside a run."""
+@pytest.fixture
+def no_runs(monkeypatch):
+    """Make any run that starts fail the test."""
     import mwsnsim.harness as harness_mod
 
     def no_run(config, seed, scheme):
         raise AssertionError("a run started")
 
     monkeypatch.setattr(harness_mod, "run_one", no_run)
+
+
+@pytest.mark.parametrize("seeds", [[], [-1], [1, -1], [1, True], [1, 2.0]])
+def test_seeds_checked_before_any_run(seeds, no_runs):
+    """Both entry points refuse what the config's seed field refuses, before
+    the first run, rather than failing inside a run."""
     with pytest.raises(ValueError, match="seed"):
         run_experiment(_fast_cfg(), seeds, ["mdlps"])
     with pytest.raises(ValueError, match="seed"):
@@ -400,6 +426,20 @@ def test_single_connection_bounded_by_cbr_arithmetic(tmp_path):
     assert n == 1
     assert 0.0 < tput <= 16.0
     assert (tmp_path / "throughput.csv").exists()
+
+
+def test_sweep_refuses_explicit_flows_and_checks_every_count_first(no_runs):
+    """Explicit flows override flow_count, so a sweep over them would run
+    the same flows at every count; and a count the scenario cannot hold is
+    refused before any count runs."""
+    two_flows = _sweep_cfg().with_overrides(
+        flows=[{"src": 0, "dst": 9}, {"src": 1, "dst": 9}])
+    with pytest.raises(ValueError, match="flows"):
+        throughput_vs_connections(two_flows, [1, 2, 3], [1])
+    # 10 nodes, one cluster head and one base station: 8 sensors
+    with pytest.raises(ValidationError) as err:
+        throughput_vs_connections(_sweep_cfg(), [1, 9], [1])
+    assert err.value.field == "flow_count"
 
 
 def test_throughput_plateaus_beyond_grid_capacity():
@@ -625,6 +665,23 @@ def test_cli_sweep_rejects_an_empty_seed_list(tmp_path, capsys):
                      "--out", str(tmp_path / "out"), "--config", str(_write_fast_cfg(tmp_path))])
     assert code == 2
     assert "ValueError: need at least one seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra, field", [
+    ("flows: [{src: 0, dst: 7}, {src: 1, dst: 7}]\n", "flows"),
+    # 6 sensors, so flow_count 7 is invalid; counts 1-6 must not run first
+    ("", "flow_count"),
+], ids=["explicit_flows", "count_above_sensors"])
+def test_cli_sweep_refuses_before_any_run(extra, field, tmp_path, capsys, no_runs):
+    cfg_path = _write_fast_cfg(tmp_path)
+    cfg_path.write_text(cfg_path.read_text() + extra)
+    out = tmp_path / "out"
+    code = cli_main(["sweep-connections", "--config", str(cfg_path), "--max-n", "7",
+                     "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert field in err and "AssertionError" not in err
+    assert not (out / "throughput.csv").exists()
 
 
 @pytest.mark.parametrize("name", ["run_header.txt", "summary.csv"])

@@ -17,7 +17,6 @@ from mwsnsim import _kernels
 from mwsnsim.config import validate_config
 from mwsnsim.engine import RandomStream, Simulation
 from mwsnsim.mobility import (
-    BadThresholds,
     MobilityClass,
     Leg,
     MobilityField,
@@ -247,13 +246,6 @@ def test_classify_boundary_belongs_to_upper_class():
 
 def test_classify_high():
     assert classify_mobility(20.0, (5.0, 15.0)) is MobilityClass.V_H
-
-
-def test_classify_bad_thresholds():
-    with pytest.raises(BadThresholds):
-        classify_mobility(1.0, (15.0, 5.0))
-    with pytest.raises(BadThresholds):
-        classify_mobility(1.0, (5.0, 5.0))
 
 
 def test_classification_is_total():

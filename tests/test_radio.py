@@ -15,7 +15,6 @@ import mwsnsim
 from mwsnsim import validate_config
 from mwsnsim.radio import (
     RadioParams,
-    ZeroDistance,
     build_graph,
     crossover_distance,
     in_range,
@@ -73,11 +72,6 @@ def test_branches_agree_at_crossover():
     tworay = p.tx_power * p.tx_gain * p.rx_gain * (p.antenna_height_tx * p.antenna_height_rx) ** 2 / (dc ** 4 * p.system_loss)
     assert friis == pytest.approx(tworay, rel=1e-9)
     assert received_power(p, dc) == pytest.approx(friis, rel=1e-9)
-
-
-def test_zero_distance_rejected():
-    with pytest.raises(ZeroDistance):
-        received_power(_params(), 0.0)
 
 
 def test_monotone_decay_across_crossover():
@@ -294,12 +288,3 @@ def test_simulation_does_not_import_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.strip() == "False"
-
-
-def test_param_validation():
-    with pytest.raises(ValueError):
-        _params(tx_power=0.0)
-    with pytest.raises(ValueError):
-        _params(system_loss=0.5)
-    with pytest.raises(ValueError):
-        _params(rx_threshold=-1.0)

@@ -14,19 +14,12 @@ from mwsnsim.mobility import make_leg
 from mwsnsim.radio import ConnectivityGraph
 from mwsnsim.scheduler import GATE_SENTINEL
 from mwsnsim.traffic import (
-    Flow,
     NodeQueue,
     Packet,
     PdrTracker,
     hop_distances,
     next_hop,
 )
-
-
-def _flow(**kw):
-    base = dict(id="f0", src=0, dst=9, interval=0.5, start=0.0, stop=100.0)
-    base.update(kw)
-    return Flow(**base)
 
 
 def _packet(pid=0, deadline=100.0, importance=0.5, **kw):
@@ -95,13 +88,6 @@ def test_cbr_times_are_not_a_running_sum():
     times = _gen_times(interval=0.1, start=0.25)
     assert times == [0.25 + k * 0.1 for k in range(1, len(times) + 1)]
     assert len(times) == 997 and times[-1] <= 100.0 < 0.25 + 998 * 0.1
-
-
-def test_flow_validation():
-    with pytest.raises(ValueError):
-        _flow(interval=0.0)
-    with pytest.raises(ValueError):
-        _flow(start=5.0, stop=5.0)
 
 
 # queues ---------------------------------------------------------------------
