@@ -19,6 +19,11 @@ Linux keeps that high-water mark across exec. The median and minimum
 construction time, the events pending after construction and the largest
 peak RSS are reported.
 
+Serialization: `trace_to_jsonl` on the 12 traces of the event study
+(configs/event_study.yaml, seeds 1-6, both schemes), timed in batches like
+the per-call entries: the fastest batch's microseconds per record, for all
+records together and for each record kind alone.
+
 The results of one invocation go into the --out file under --label, next
 to those of earlier invocations, with the machine, Python and numpy
 versions. --src picks the source tree whose `mwsnsim` is timed, so two
@@ -44,6 +49,8 @@ RUN_SIZES = {22: 7, 200: 5, 1000: 3, 2000: 3}  # node count -> repeats
 CALL_LAYOUTS = {22: 800.0, 1000: 250.0}  # node count -> nominal range (m)
 TERRAIN = 2000.0
 LONG_SESSION = 36000.0  # seconds of the construction entry
+EVENT_STUDY = os.path.join(HERE, "..", "configs", "event_study.yaml")
+SERIALIZE_SEEDS = range(1, 7)  # run under both schemes
 CONSTRUCT_REPEATS = 5
 # run in a fresh interpreter: argv is the source tree and the session length
 CONSTRUCT_CHILD = """
@@ -125,6 +132,27 @@ def time_calls() -> tuple[dict, dict]:
     return build, bfs
 
 
+def time_serialization() -> dict:
+    from mwsnsim import Simulation, load_config, trace_to_jsonl
+
+    cfg = load_config(EVENT_STUDY)
+    traces = [Simulation(cfg, seed=seed, scheme=scheme).run()
+              for seed in SERIALIZE_SEEDS for scheme in ("mdlps", "data")]
+    by_kind: dict[str, list[dict]] = {}
+    for trace in traces:
+        for rec in trace:
+            by_kind.setdefault(rec["k"], []).append(rec)
+    total = sum(len(trace) for trace in traces)
+    out = {"all": {"records": total, "best_us_per_record": 1e6 / total * time_per_call(
+        lambda: [trace_to_jsonl(trace) for trace in traces], batches=5)}}
+    for kind, recs in sorted(by_kind.items()):
+        out[kind] = {"records": len(recs), "best_us_per_record": 1e6 / len(recs) * time_per_call(
+            lambda: trace_to_jsonl(recs), target_s=0.05, batches=5)}
+    print("serialize: " + ", ".join(f"{kind} {v['best_us_per_record']:.2f}"
+                                    for kind, v in out.items()) + " us per record", flush=True)
+    return out
+
+
 def time_construction(src: str) -> dict:
     runs = []
     for _ in range(CONSTRUCT_REPEATS):
@@ -157,7 +185,7 @@ def main(argv=None) -> int:
     build, bfs = time_calls()
     result = {"backend": mwsnsim.BACKEND, "runs": time_runs(),
               "build_graph": build, "hop_distances": bfs,
-              "construct": time_construction(args.src)}
+              "construct": time_construction(args.src), "serialize": time_serialization()}
     doc = {}
     if os.path.exists(args.out):
         with open(args.out, "r", encoding="utf-8") as fh:

@@ -3,7 +3,8 @@ in a mobile wireless sensor network over a TDMA/FDMA slot grid."""
 
 from ._kernels import BACKEND
 from .config import ScenarioConfig, load_config, loads_config, validate_config
-from .engine import Simulation, trace_from_jsonl, trace_to_jsonl
+from .engine import Simulation
+from .trace import trace_from_jsonl, trace_to_jsonl
 
 __version__ = "0.1.0"
 

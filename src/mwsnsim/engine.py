@@ -12,7 +12,6 @@ produces is byte-stable.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from collections import defaultdict
 from typing import Callable, NamedTuple
@@ -25,6 +24,8 @@ from . import scheduler as sched
 from . import traffic as traffic_mod
 from .config import SCHEMA, ScenarioConfig
 from .mobility import MobilityField, snapshot_classes
+# the trace codec lives in `trace`; these names stay importable from here
+from .trace import trace_from_jsonl, trace_to_jsonl  # noqa: F401
 
 
 class PastEvent(Exception):
@@ -135,16 +136,6 @@ class RandomStreams:
     def draw_counts(self) -> dict[str, int]:
         return {"mobility": sum(s.draws for s in self.mobility),
                 **{p: s.draws for p, s in self._streams.items()}}
-
-
-def trace_to_jsonl(trace: list[dict]) -> str:
-    """Canonical byte-stable serialization: one compact sorted-key record
-    per line."""
-    return "".join(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n" for rec in trace)
-
-
-def trace_from_jsonl(text: str) -> list[dict]:
-    return [json.loads(line) for line in text.splitlines() if line.strip()]
 
 
 class Simulation:
@@ -388,7 +379,7 @@ class Simulation:
         elif t >= packet.deadline:
             self._drop(packet, node, t, "expired")
         else:
-            evicted = self.queues[node].enqueue(packet, self._key_fn(node, t))
+            evicted = self.queues[node].enqueue(packet, lambda: self._key_fn(node, t))
             if evicted is not None:
                 self._drop(evicted, node, t, "overflow")
 
@@ -401,10 +392,12 @@ class Simulation:
         if cause != "starved":
             self.trackers[packet.flow].record(False)
 
-    def _candidates(self, t: float) -> tuple[list[sched.PriorityTuple], list[int]]:
+    def _candidates(self, t: float,
+                    skip=frozenset()) -> tuple[list[sched.PriorityTuple], list[int]]:
         """Contenders for transmission positions, and the orphans among them
         ascending: alive non-sink nodes with queued data, keyed by their
-        best packet under the active scheme.
+        best packet under the active scheme. Nodes in `skip` are left out of
+        the contenders, unranked, but not out of the orphans.
 
         Under the data scheme sensors report through a cluster head in
         reach; ranking is the shared comparator over all contenders, which
@@ -426,7 +419,7 @@ class Simulation:
                     node=n, pi=self.queues[n].best_key(self._key_fn(n, t)),
                     mob_class=self.mob_snapshot[n],
                     batt_level=energy_mod.battery_level(self.battery[n])))
-                 for n in holders], orphans)
+                 for n in holders if n not in skip], orphans)
 
     # handlers ---------------------------------------------------------------
     def _on_frame_boundary(self, ev: Event) -> None:
@@ -452,9 +445,9 @@ class Simulation:
         open_positions = [pos for pos in self.grid.assignment if pos not in live]
         lent = []
         if open_positions:
-            if contenders is None:
-                contenders, orphans = self._candidates(t)
             holders = set(live.values())
+            if contenders is None:
+                contenders, orphans = self._candidates(t, skip=holders)
             spare = [pt for pt in contenders if pt.node not in holders]
             lent = [(f, s, node) for (f, s), node in sched.fill_positions(open_positions, spare)]
         rec = {

@@ -13,8 +13,9 @@ import os
 
 from . import metrics
 from .config import SCHEMA, ScenarioConfig
-from .engine import Simulation, trace_from_jsonl, trace_to_jsonl
+from .engine import Simulation
 from .radio import params_for_range
+from .trace import trace_from_jsonl, trace_to_jsonl
 
 
 class ConservationError(Exception):

@@ -80,8 +80,10 @@ class MobilityField:
 
     Legs are drawn lazily: a query for one node at t first draws that node's
     legs that start at or before t, and `tick(t)` does so for every node.
-    The current legs are the rows of `legs`, one `Leg` per row. A query at a
-    time before a node's current leg started raises ValueError.
+    Each node's current leg is kept twice, as a `Leg` for one-node queries
+    and as its row of the array `legs` for fleet queries; `set_leg` is the
+    one way to change it, so the two never differ. A query at a time before
+    a node's current leg started raises ValueError.
     """
 
     def __init__(
@@ -116,8 +118,14 @@ class MobilityField:
                                 min(max(y + oy, 0.0), terrain[1])))
                 self.patrol[i] = pts[:1] if len(set(pts)) == 1 else pts
         self.legs = np.empty((n, len(Leg._fields)))
+        self._legs: list[Leg] = [None] * n
         for i, (x, y) in enumerate(starts):
             self._start_leg(i, 0.0, x, y)
+
+    def set_leg(self, i: int, leg: Leg) -> None:
+        """Put node i on `leg`."""
+        self._legs[i] = leg
+        self.legs[i] = leg
 
     def _start_leg(self, i: int, t0: float, x0: float, y0: float) -> Leg:
         """Draw node i's leg that starts at t0 from (x0, y0)."""
@@ -135,7 +143,7 @@ class MobilityField:
             pts.append(pts.pop(0))
             speed = rng.uniform(self.controlled_speed_cap / 2.0, self.controlled_speed_cap)
             leg = make_leg(t0, x0, y0, *pts[-1], speed)
-        self.legs[i] = leg
+        self.set_leg(i, leg)
         return leg
 
     def _leg(self, i: int, t: float) -> Leg:
@@ -143,7 +151,7 @@ class MobilityField:
         before t."""
         if not (0 <= i < self.n):
             raise UnknownNode(f"no node {i}")
-        leg = Leg._make(self.legs[i].tolist())
+        leg = self._legs[i]
         if t < leg.t0:
             raise ValueError(f"query at {t} precedes node {i}'s leg from {leg.t0}")
         while leg.t_arr + self.pause_time <= t:

@@ -62,13 +62,15 @@ class NodeQueue:
     def __iter__(self):
         return iter(self._items)
 
-    def enqueue(self, packet: Packet, key_fn) -> Packet | None:
-        """Insert packet; returns the evicted packet on overflow, else None."""
+    def enqueue(self, packet: Packet, make_key) -> Packet | None:
+        """Insert packet; returns the evicted packet on overflow, else None.
+        `make_key()` gives the key function that picks the evicted packet;
+        it is called only on overflow."""
         if len(self._items) < self.capacity:
             self._items.append(packet)
             return None
         # max keeps the first of equal keys, so the newest goes first
-        worst = max([packet, *reversed(self._items)], key=key_fn)
+        worst = max([packet, *reversed(self._items)], key=make_key())
         if worst is packet:
             return packet
         self._items.remove(worst)

@@ -485,9 +485,9 @@ def test_mdlps_ignores_importance_for_slow_node():
     sim = Simulation(cfg, seed=1, scheme="mdlps")
     # node 2 crawls while the others stride: its 1/v term buries it. No leg
     # ends within the 8 s session, and every node stays in range of the sink
-    sim.mob.legs[0] = make_leg(0.0, 100.0, 200.0, 100.0, 400.0, 18.0)
-    sim.mob.legs[1] = make_leg(0.0, 200.0, 200.0, 200.0, 400.0, 18.0)
-    sim.mob.legs[2] = make_leg(0.0, 300.0, 200.0, 300.0, 201.0, 0.05)
+    sim.mob.set_leg(0, make_leg(0.0, 100.0, 200.0, 100.0, 400.0, 18.0))
+    sim.mob.set_leg(1, make_leg(0.0, 200.0, 200.0, 200.0, 400.0, 18.0))
+    sim.mob.set_leg(2, make_leg(0.0, 300.0, 200.0, 300.0, 201.0, 0.05))
     trace = sim.run()
     order = metrics.execution_order(trace, 0)
     assert order and order[0] != 2

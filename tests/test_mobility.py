@@ -61,7 +61,7 @@ def _field(n=22, terrain=(2000.0, 2000.0), seed=1, controlled=None, **kw):
 
 def _script_leg(field, i, x, y, wx, wy, speed, t0=0.0):
     """Put node i on a known leg that starts at t0."""
-    field.legs[i] = make_leg(t0, x, y, wx, wy, speed)
+    field.set_leg(i, make_leg(t0, x, y, wx, wy, speed))
 
 
 def _leg(field, i):

@@ -92,19 +92,41 @@ def test_cbr_times_are_not_a_running_sum():
 
 # queues ---------------------------------------------------------------------
 
+def _flat(p):
+    return 1.0  # every packet ties
+
+
+def _by_importance(p):
+    return 1.0 / p.importance
+
+
+def test_key_is_made_only_on_overflow():
+    q = NodeQueue(2)
+    made = []
+
+    def make_key():
+        made.append(len(q))
+        return _flat
+    q.enqueue(_packet(pid=0), make_key)
+    q.enqueue(_packet(pid=1), make_key)
+    assert made == []
+    q.enqueue(_packet(pid=2), make_key)
+    assert made == [2]
+
+
 def test_enqueue_into_empty_queue_is_head():
     q = NodeQueue(50)
     p = _packet()
-    assert q.enqueue(p, lambda _: 1.0) is None
-    assert q.sorted_items(lambda _: 1.0) == [p]
+    assert q.enqueue(p, lambda: _flat) is None
+    assert q.sorted_items(_flat) == [p]
 
 
 def test_full_queue_of_better_packets_drops_newcomer():
     q = NodeQueue(50)
     for i in range(50):
-        q.enqueue(_packet(pid=i, importance=1.0), lambda p: 1.0 / p.importance)
+        q.enqueue(_packet(pid=i, importance=1.0), lambda: _by_importance)
     loser = _packet(pid=99, importance=0.2)
-    evicted = q.enqueue(loser, lambda p: 1.0 / p.importance)
+    evicted = q.enqueue(loser, lambda: _by_importance)
     assert evicted is loser
     assert len(q) == 50
 
@@ -113,11 +135,11 @@ def test_sentinel_packet_evicted_first():
     q = NodeQueue(3)
     key = lambda p: GATE_SENTINEL if p.importance == 0.01 else 1.0 / p.importance
     gated = _packet(pid=0, importance=0.01)
-    q.enqueue(gated, key)
-    q.enqueue(_packet(pid=1, importance=0.9), key)
-    q.enqueue(_packet(pid=2, importance=0.9), key)
+    q.enqueue(gated, lambda: key)
+    q.enqueue(_packet(pid=1, importance=0.9), lambda: key)
+    q.enqueue(_packet(pid=2, importance=0.9), lambda: key)
     newcomer = _packet(pid=3, importance=0.5)
-    evicted = q.enqueue(newcomer, key)
+    evicted = q.enqueue(newcomer, lambda: key)
     assert evicted is gated
     assert newcomer in list(q)
 
@@ -127,24 +149,24 @@ def test_key_tie_evicts_newest():
     a = _packet(pid=0)
     b = _packet(pid=1)
     c = _packet(pid=2)
-    q.enqueue(a, lambda _: 1.0)
-    q.enqueue(b, lambda _: 1.0)
-    assert q.enqueue(c, lambda _: 1.0) is c
+    q.enqueue(a, lambda: _flat)
+    q.enqueue(b, lambda: _flat)
+    assert q.enqueue(c, lambda: _flat) is c
 
 
 def test_fifo_among_equal_keys():
     q = NodeQueue(5)
     first = _packet(pid=1)
     second = _packet(pid=2)
-    q.enqueue(first, lambda _: 1.0)
-    q.enqueue(second, lambda _: 1.0)
-    assert q.sorted_items(lambda _: 1.0) == [first, second]
+    q.enqueue(first, lambda: _flat)
+    q.enqueue(second, lambda: _flat)
+    assert q.sorted_items(_flat) == [first, second]
 
 
 def test_purge_expired_returns_dead_packets():
     q = NodeQueue(5)
-    q.enqueue(_packet(pid=0, deadline=2.0), lambda _: 1.0)
-    q.enqueue(_packet(pid=1, deadline=9.0), lambda _: 1.0)
+    q.enqueue(_packet(pid=0, deadline=2.0), lambda: _flat)
+    q.enqueue(_packet(pid=1, deadline=9.0), lambda: _flat)
     dead = q.purge_expired(now=2.0)
     assert [p.id for p in dead] == [0]
     assert len(q) == 1
@@ -192,7 +214,7 @@ def test_queue_ranks_and_evicts_like_an_arrival_counter(capacity, ops):
         key_fn = lambda p, m=m: GATE_SENTINEL if p.id % 7 == 6 else (p.id * 5 + m) % (m + 1)
         if op == "enq":
             p = _packet(pid=pid, deadline=now + a)
-            assert q.enqueue(p, key_fn) is model.enqueue(p, key_fn)
+            assert q.enqueue(p, lambda: key_fn) is model.enqueue(p, key_fn)
         elif op == "remove" and len(model.arrival):
             victim = model.ranked(key_fn)[a % len(model.arrival)]
             q.remove(victim)
@@ -425,7 +447,7 @@ def _link_break_sim():
     sim = Simulation(cfg, seed=1, scheme="data")
     # script the cluster head: walk straight away from node 0 at 2 m/s, so it
     # sits at 249 m (in range) at the t=2 frame and 251 m (out) at t=3
-    sim.mob.legs[2] = make_leg(0.0, 245.0, 50.0, 999.0, 50.0, 2.0)
+    sim.mob.set_leg(2, make_leg(0.0, 245.0, 50.0, 999.0, 50.0, 2.0))
     return sim
 
 
