@@ -108,10 +108,11 @@ class RandomStream:
         self._gen = np.random.default_rng(ss)
 
     def uniform(self, a: float, b: float) -> float:
+        """Generator.uniform(a, b)'s formula, without its per-call overhead."""
         if a > b:
             raise BadRange(f"uniform({a}, {b}): need a <= b")
         self.draws += 1
-        return float(self._gen.uniform(a, b))
+        return a + (b - a) * self._gen.random()
 
     def sample(self, population, k: int) -> list:
         """k distinct elements from population, order drawn from the stream."""
@@ -601,11 +602,13 @@ class Simulation:
         if fl.importance_override is not None:
             imp = fl.importance_override
         else:
-            src_xy = self.mob.position_of(fl.src, t)
-            if any(sched.in_disc(src_xy, (x, y), r) for x, y, r in self.active_events):
-                imp = self.streams["importance"].uniform(0.8, 1.0)
-            else:
-                imp = self.streams["importance"].uniform(0.1, 0.5)
+            band = (0.1, 0.5)
+            # the source's position matters only once an event has begun
+            if self.active_events:
+                src_xy = self.mob.position_of(fl.src, t)
+                if any(sched.in_disc(src_xy, (x, y), r) for x, y, r in self.active_events):
+                    band = (0.8, 1.0)
+            imp = self.streams["importance"].uniform(*band)
         self._generate_packet(fl.id, fl.src, fl.dst, t, imp)
         self._schedule_emission(idx, k + 1)
 

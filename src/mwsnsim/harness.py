@@ -30,6 +30,11 @@ SUMMARY_COLUMNS = [
 ]
 
 
+def _cell(x: float) -> str:
+    """A float as a CSV cell: blank for NaN, else repr(round(x, 6))."""
+    return "" if math.isnan(x) else repr(round(x, 6))
+
+
 class RunReport:
     """Metrics of one run, all recomputed from its trace."""
 
@@ -41,7 +46,7 @@ class RunReport:
         self.generated = cons["generated"]
         self.fates = cons["fates"]
         self.conservation_ok = cons["ok"]
-        self.pdr = metrics.overall_pdr(trace)
+        self.pdr = metrics.delivered_ratio(cons)
         self.mean_delay = metrics.mean_delay(trace)
         self.p95_delay = metrics.percentile_delay(trace, 95.0)
         self.throughput = metrics.throughput_kbps(trace, metrics.session_of(trace))
@@ -54,12 +59,10 @@ class RunReport:
         }
 
     def row(self) -> list:
-        fmt = lambda x: "" if isinstance(x, float) and math.isnan(x) else repr(x)
         return [
             self.seed, self.scheme, self.generated,
             self.fates["delivered"], self.fates["deadline_miss"],
-            fmt(round(self.pdr, 6)), fmt(round(self.mean_delay, 6)),
-            fmt(round(self.p95_delay, 6)), fmt(round(self.throughput, 6)),
+            _cell(self.pdr), _cell(self.mean_delay), _cell(self.p95_delay), _cell(self.throughput),
             self.fates["expired"], self.fates["overflow"], self.fates["no_route"],
             self.fates["gated"], self.fates["starved"],
             len(self.depleted), self.orphan_frames, self.max_queue, "",
@@ -162,9 +165,7 @@ def emit_report(
                 fh.write(trace_to_jsonl(rep.trace))
     if len(schemes) == 2 and reports:
         _write_csv(_path("ab_summary.csv"),
-                   ["seed", f"pdr_{schemes[0]}", f"pdr_{schemes[1]}",
-                    f"throughput_{schemes[0]}", f"throughput_{schemes[1]}",
-                    f"mean_delay_{schemes[0]}", f"mean_delay_{schemes[1]}"],
+                   ["seed"] + [f"{metric}_{scheme}" for metric in AB_METRICS for scheme in schemes],
                    _ab_rows(reports, seeds, schemes))
     return written
 
@@ -211,6 +212,7 @@ def run_experiment(
 
 
 AGGREGATE_METRICS = ["pdr_within_deadline", "mean_delay_s", "throughput_kbps", "delivered"]
+AB_METRICS = ["pdr", "throughput", "mean_delay"]  # RunReport attributes, scheme by scheme
 
 
 def _aggregate_rows(reports: list[RunReport | FailedRun], schemes: list[str]) -> list[list]:
@@ -237,24 +239,20 @@ def _aggregate_rows(reports: list[RunReport | FailedRun], schemes: list[str]) ->
                 continue
             mean = sum(vals) / len(vals)
             var = sum((v - mean) ** 2 for v in vals) / len(vals)
-            rows.append([scheme, metric, len(group),
-                         repr(round(mean, 6)), repr(round(math.sqrt(var), 6)), failed])
+            rows.append([scheme, metric, len(group), _cell(mean), _cell(math.sqrt(var)), failed])
     return rows
 
 
 def _ab_rows(reports: list, seeds: list[int], schemes: list[str]) -> list[list]:
     by_key = {(rep.seed, rep.scheme): rep for rep in reports}
-    fmt = lambda x: "" if math.isnan(x) else repr(round(x, 6))
     rows = []
     for seed in seeds:
         pair = [by_key.get((seed, scheme)) for scheme in schemes]
         if not all(isinstance(rep, RunReport) for rep in pair):
-            rows.append([seed, "", "", "", "", "", ""])
+            rows.append([seed] + [""] * (len(AB_METRICS) * len(schemes)))
             continue
-        a, b = pair
-        rows.append([seed, fmt(a.pdr), fmt(b.pdr),
-                     fmt(a.throughput), fmt(b.throughput),
-                     fmt(a.mean_delay), fmt(b.mean_delay)])
+        rows.append([seed] + [_cell(getattr(rep, metric)) for metric in AB_METRICS
+                              for rep in pair])
     return rows
 
 
@@ -290,7 +288,7 @@ def throughput_vs_connections(
         os.makedirs(out_dir, exist_ok=True)
         _write_csv(os.path.join(out_dir, "throughput.csv"),
                    ["connections", "throughput_kbps"],
-                   [[n, repr(round(v, 6))] for n, v in series])
+                   [[n, _cell(v)] for n, v in series])
     return series
 
 

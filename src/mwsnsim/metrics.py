@@ -64,12 +64,9 @@ def pdr_within_deadline(trace: list[dict]) -> dict[str, float]:
     return {fl: ontime[fl] / gen_counts[fl] for fl in sorted(gen_counts)}
 
 
-def overall_pdr(trace: list[dict]) -> float:
-    gen = sum(1 for rec in trace if rec["k"] == "gen")
-    if gen == 0:
-        return 0.0
-    ontime = sum(1 for rec in trace if rec["k"] == "rx" and rec["fin"] == 1 and rec["ok"])
-    return ontime / gen
+def delivered_ratio(cons: dict) -> float:
+    """On-time share of the generated packets, from a conservation() result."""
+    return cons["fates"]["delivered"] / cons["generated"] if cons["generated"] else 0.0
 
 
 def delays(trace: list[dict]) -> list[float]:
@@ -124,14 +121,6 @@ def execution_order(trace: list[dict], event_index: int) -> list[int]:
     return order
 
 
-def drop_breakdown(trace: list[dict]) -> dict[str, int]:
-    out = {c: 0 for c in DROP_CAUSES}
-    for rec in trace:
-        if rec["k"] == "drop":
-            out[rec["c"]] += 1
-    return out
-
-
 def max_queue_length(trace: list[dict]) -> int:
     longest = 0
     for rec in trace:
@@ -181,11 +170,12 @@ def session_of(trace: list[dict]) -> float:
 METRIC_FUNCTIONS = {
     "conservation": conservation,
     "pdr": pdr_within_deadline,
-    "overall_pdr": overall_pdr,
+    "overall_pdr": lambda trace: delivered_ratio(conservation(trace)),
     "mean_delay": mean_delay,
     "p95_delay": lambda trace: percentile_delay(trace, 95.0),
     "throughput": lambda trace: throughput_kbps(trace, session_of(trace)),
-    "drops": drop_breakdown,
+    "drops": lambda trace: {c: n for c, n in conservation(trace)["fates"].items()
+                            if c in DROP_CAUSES},
     "max_queue": max_queue_length,
     "exec_order": lambda trace: execution_order(trace, 0),
     "energy": energy_series,

@@ -5,8 +5,9 @@ Received power follows Friis (1/d^2) below the crossover distance
 d_c = 4*pi*h_t*h_r / lambda and the two-ray law (1/d^4) at and beyond it;
 the two branches coincide at d_c. Reception is a hard threshold on power,
 which falls strictly with distance, so connectivity is a disc model (a unit
-disk graph): two nodes link when d^2 <= r^2, r = range_for_threshold, the
-rule in_disc states once. The path-loss law only fixes the threshold and r.
+disk graph): two nodes link when d^2 <= r^2, r = range_for_threshold (kept
+per parameter set as RadioParams.reach), the rule in_disc states once. The
+path-loss law only fixes the threshold and r.
 
 A uniform grid of cells whose side is the reception range yields the
 candidate pairs of the connectivity graph (a fixed-radius near-neighbour
@@ -20,6 +21,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -35,6 +37,11 @@ class RadioParams:
     system_loss: float = 1.0
     wavelength: float = 0.328
     rx_threshold: float = 3.652e-10
+
+    @cached_property
+    def reach(self) -> float:
+        """range_for_threshold(self), computed on first use and then kept."""
+        return range_for_threshold(self)
 
 
 def crossover_distance(params: RadioParams) -> float:
@@ -109,7 +116,7 @@ def in_disc(point, centre, radius):
 def in_range(params: RadioParams, a: tuple[float, float], b: tuple[float, float]) -> bool:
     """True when positions a and b are linked: build_graph's disc rule, so a
     link the graph holds is never refused at an unchanged distance."""
-    return in_disc(a, b, range_for_threshold(params))
+    return in_disc(a, b, params.reach)
 
 
 class ConnectivityGraph:
@@ -208,7 +215,7 @@ def build_graph(ids, px: np.ndarray, py: np.ndarray, params: RadioParams) -> Con
     px = np.asarray(px, dtype=float)[by_id]
     py = np.asarray(py, dtype=float)[by_id]
     n = len(ids)
-    r = range_for_threshold(params)
+    r = params.reach
     i, j = candidate_pairs(px, py, r * (1.0 + 1e-9))
     linked = in_disc((px[i], py[i]), (px[j], py[j]), r)
     i = i[linked]

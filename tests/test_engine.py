@@ -89,6 +89,26 @@ def test_uniform_bad_range():
         s.uniform(2.0, 1.0)
 
 
+def test_uniform_is_generator_uniform_bit_for_bit():
+    """RandomStream.uniform computes a + (b - a) * u itself. On a twin
+    stream it must equal numpy's Generator.uniform bit for bit, over the
+    ranges the engine draws from: the terrain, sensor and patrol speeds,
+    patrol offsets and both importance bands. A platform whose numpy fuses
+    the multiply-add fails here."""
+    cfg = validate_config({})
+    m = cfg["mobility"]
+    cap, radius = m["controlled_speed_cap"], m["patrol_radius"]
+    ranges = [(0.0, cfg.terrain[0]), (0.0, cfg.terrain[1]), (m["speed_min"], m["speed_max"]),
+              (cap / 2.0, cap), (-radius, radius), (0.8, 1.0), (0.1, 0.5)]
+    ours = RandomStream(5, "importance")
+    twin = RandomStream(5, "importance")._gen
+    draws = [ranges[k % len(ranges)] for k in range(105_000)]
+    got = np.array([ours.uniform(a, b) for a, b in draws])
+    want = np.array([twin.uniform(a, b) for a, b in draws])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert ours.draws == len(draws)
+
+
 def test_sample_is_distinct_and_bounded():
     s = RandomStream(3, "traffic")
     picked = s.sample(list(range(10)), 4)
@@ -440,6 +460,34 @@ def test_stock_run_asks_for_the_fleet_only_at_boundaries_and_events(monkeypatch)
     assert calls and set(calls) <= allowed
     # slot instants between boundaries did transmit, so they were asked about
     assert any(rec["k"] == "tx" and rec["s"] > 0 for rec in trace)
+
+
+def test_emissions_locate_no_source_before_the_first_event(monkeypatch):
+    """A CBR emission needs its source's position only once a critical
+    event has begun: before that its importance comes from the low band
+    wherever the source is. So in a stock run, whose one event is at
+    t = 10 s, emissions ask for no position before then."""
+    asked, emitting = [], []
+    locate, emit = MobilityField.position_of, Simulation._on_packet_generated
+
+    def located(self, i, t):
+        if emitting:
+            asked.append(t)
+        return locate(self, i, t)
+
+    def emission(sim, ev):
+        emitting.append(ev)
+        try:
+            emit(sim, ev)
+        finally:
+            emitting.pop()
+
+    monkeypatch.setattr(MobilityField, "position_of", located)
+    monkeypatch.setattr(Simulation, "_on_packet_generated", emission)
+    trace = Simulation(validate_config({}), seed=2, scheme="mdlps").run()
+    assert [rec["t"] for rec in trace if rec["k"] == "crit"] == [10.0]
+    # emissions from the event on do locate their source
+    assert asked and min(asked) == 10.0
 
 
 def test_reports_route_to_sinks_that_no_flow_uses():

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mwsnsim
-from mwsnsim import validate_config
+from mwsnsim import Simulation, validate_config
 from mwsnsim.radio import (
     RadioParams,
     build_graph,
@@ -274,6 +274,22 @@ def test_range_for_threshold_without_threshold_is_infinite():
 def test_range_for_threshold_inverts_threshold_for_range(nominal):
     p = replace(_params(), rx_threshold=threshold_for_range(_params(), nominal))
     assert range_for_threshold(p) == pytest.approx(nominal, rel=1e-12)
+
+
+def test_a_run_computes_its_range_once_per_parameter_set(monkeypatch):
+    """Every graph build and every link test of a run reads the range its
+    RadioParams computed once, not range_for_threshold again."""
+    asked = []
+    compute = mwsnsim.radio.range_for_threshold
+
+    def counted(params):
+        asked.append(params)
+        return compute(params)
+
+    monkeypatch.setattr(mwsnsim.radio, "range_for_threshold", counted)
+    trace = Simulation(validate_config({}), seed=1, scheme="mdlps").run()
+    assert any(rec["k"] == "tx" for rec in trace)  # links were tested
+    assert asked and len({id(p) for p in asked}) == len(asked)
 
 
 def test_simulation_does_not_import_scipy():
