@@ -10,6 +10,14 @@ random layout of 22 nodes with the 800 m range of the event study, and of
 1000 nodes with the stock 250 m range. Each is timed in batches; the
 fastest batch mean is reported, which a busy machine disturbs least.
 
+Rebuild: what a frame boundary rebuilds, `radio.build_graph` plus
+`traffic.hop_distances` for every route destination, on the fleet at
+t = 5 s (seed 1) of three scenarios: the event study's 22 nodes at 800 m,
+the capacity sweep's 22 nodes at 900 m on 600 x 600 m with 10 flows, a
+complete graph, and 1000 nodes at the stock 250 m. Timed like the per-call
+entries; each also records the minor page faults per call, read from
+`getrusage(RUSAGE_SELF).ru_minflt` over a run of calls.
+
 Construction: `Simulation(...)` of the stock scenario over a 36,000 s
 session with no critical event, seed 1, mdlps, built several times, each in
 a fresh subprocess, so its peak RSS is that of the interpreter, numpy and
@@ -39,6 +47,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -47,11 +56,29 @@ import time
 HERE = os.path.dirname(os.path.abspath(__file__))
 RUN_SIZES = {22: 7, 200: 5, 1000: 3, 2000: 3}  # node count -> repeats
 CALL_LAYOUTS = {22: 800.0, 1000: 250.0}  # node count -> nominal range (m)
+# rebuild entry -> scenario overrides
+REBUILD_SCENARIOS = {
+    "event_ab_22": {"radio": {"nominal_range": 800.0}},
+    "capacity_22": {"node_count": 22, "cluster_heads": 3, "base_stations": 1,
+                    "terrain_area": {"width": 600.0, "height": 600.0}, "flow_count": 10,
+                    "radio": {"nominal_range": 900.0}, "critical_events": []},
+    "fleet_1000": {"node_count": 1000, "cluster_heads": 3, "base_stations": 1},
+}
+REBUILD_AT = 5.0  # seconds into the run
+FAULT_CALLS = 50
 TERRAIN = 2000.0
 LONG_SESSION = 36000.0  # seconds of the construction entry
 EVENT_STUDY = os.path.join(HERE, "..", "configs", "event_study.yaml")
 SERIALIZE_SEEDS = range(1, 7)  # run under both schemes
 CONSTRUCT_REPEATS = 5
+# run in a fresh interpreter: argv is this directory, the source tree and
+# the scenario's overrides as JSON
+REBUILD_CHILD = """
+import json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import bench
+print(json.dumps(bench.rebuild_entry(json.loads(sys.argv[3]))))
+"""
 # run in a fresh interpreter: argv is the source tree and the session length
 CONSTRUCT_CHILD = """
 import json, sys, time
@@ -132,6 +159,46 @@ def time_calls() -> tuple[dict, dict]:
     return build, bfs
 
 
+def minor_faults_per_call(fn, calls: int = FAULT_CALLS) -> float:
+    fn()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(calls):
+        fn()
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / calls
+
+
+def rebuild_entry(doc: dict) -> dict:
+    """Minor faults and time per rebuild of one scenario's fleet."""
+    from mwsnsim import Simulation, radio, traffic, validate_config
+
+    cfg = validate_config(doc)
+    sim = Simulation(cfg, seed=1, scheme="mdlps")
+    px, py = sim.mob.positions_at(REBUILD_AT)
+    ids = list(range(sim.n))
+
+    def rebuild():
+        graph = radio.build_graph(ids, px, py, sim.radio)
+        return [traffic.hop_distances(graph, dst) for dst in sim.route_dsts]
+
+    return {"minor_faults": minor_faults_per_call(rebuild),
+            "best_us": 1e6 * time_per_call(rebuild), "nodes": sim.n,
+            "edges": len(radio.build_graph(ids, px, py, sim.radio).edges()),
+            "route_dsts": len(sim.route_dsts), "range_m": cfg["radio"]["nominal_range"]}
+
+
+def time_rebuilds(src: str) -> dict:
+    """rebuild_entry of each scenario in a fresh interpreter, so no earlier
+    entry's heap decides the page faults."""
+    out = {}
+    for name, doc in REBUILD_SCENARIOS.items():
+        done = subprocess.run([sys.executable, "-c", REBUILD_CHILD, HERE, os.path.abspath(src),
+                               json.dumps(doc)], check=True, capture_output=True, text=True)
+        out[name] = json.loads(done.stdout)
+        print(f"rebuild {name}: {out[name]['best_us']:.1f} us, "
+              f"{out[name]['minor_faults']:.0f} minor faults per call", flush=True)
+    return out
+
+
 def time_serialization() -> dict:
     from mwsnsim import Simulation, load_config, trace_to_jsonl
 
@@ -184,7 +251,7 @@ def main(argv=None) -> int:
 
     build, bfs = time_calls()
     result = {"backend": mwsnsim.BACKEND, "runs": time_runs(),
-              "build_graph": build, "hop_distances": bfs,
+              "build_graph": build, "hop_distances": bfs, "rebuild": time_rebuilds(args.src),
               "construct": time_construction(args.src), "serialize": time_serialization()}
     doc = {}
     if os.path.exists(args.out):

@@ -2,8 +2,8 @@
 power.
 
 `MobilityField.positions_at` evaluates the fleet with step_waypoints.
-Nothing in the package calls pair_power: links are radio.in_disc on the
-candidate pairs of radio.build_graph's cell grid, and the graph tests'
+Nothing in the package calls pair_power: links are radio.offset_in_disc on
+the candidate pairs of radio.build_graph's cell grid, and the graph tests'
 dense reference is the distance rule. pair_power stays only because the
 perfbench layer spans wrap it by name. Both kernels are plain numpy.
 """

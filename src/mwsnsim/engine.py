@@ -225,6 +225,7 @@ class Simulation:
         self.radio = radio_mod.params_for_range(self.cfg["radio"], self.cfg.wavelength)
         self.graph = None
         self.dist_maps: dict[int, dict[int, int]] = {}
+        self._graph_stamp: tuple[float, int] | None = None
 
     def _build_energy(self) -> None:
         e = self.cfg["energy"]
@@ -331,6 +332,13 @@ class Simulation:
             self.trace.append({"k": "dep", "t": t, "n": node})
 
     def _rebuild_graph(self, t: float) -> None:
+        """Graph and hop maps of the alive nodes at t. Positions are a
+        function of time and `dead` only grows, so a second call at the same
+        t with as many dead nodes keeps what the first one built."""
+        stamp = (t, len(self.dead))
+        if stamp == self._graph_stamp:
+            return
+        self._graph_stamp = stamp
         alive = self._alive()
         px, py = self.mob.positions_at(t)
         self.graph = radio_mod.build_graph(

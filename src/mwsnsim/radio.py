@@ -12,8 +12,9 @@ path-loss law only fixes the threshold and r.
 A uniform grid of cells whose side is the reception range yields the
 candidate pairs of the connectivity graph (a fixed-radius near-neighbour
 search; Bentley, Stanat & Williams, IPL 1977), and only those pairs go
-through the disc test. Adjacency is built as compressed sparse rows and
-kept as one tuple of neighbours per node.
+through the disc test, on coordinate differences worked in place. Adjacency
+is built as compressed sparse rows with numpy and kept as two flat Python
+lists, the row bounds and every row's neighbour ids one after another.
 """
 
 from __future__ import annotations
@@ -100,17 +101,31 @@ def params_for_range(section: dict, wavelength: float) -> RadioParams:
     return replace(base, rx_threshold=threshold_for_range(base, section["nominal_range"]))
 
 
+def _squared_norm(dx, dy):
+    """dx * dx + dy * dy. Arrays are worked on in place: dx becomes the
+    result and dy its own square, so pass differences that are not needed
+    again. Floats give the same arithmetic."""
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx
+
+
 def _squared_distance(a, b):
-    dx = a[0] - b[0]
-    dy = a[1] - b[1]
-    return dx * dx + dy * dy
+    return _squared_norm(a[0] - b[0], a[1] - b[1])
+
+
+def offset_in_disc(dx, dy, radius):
+    """True when the offset (dx, dy) from a disc's centre lies in the closed
+    disc: a point at exactly the radius is inside. Arrays are compared
+    elementwise, and overwritten as _squared_norm says."""
+    return _squared_norm(dx, dy) <= radius * radius
 
 
 def in_disc(point, centre, radius):
-    """True when point lies in the closed disc about centre: a point at
-    exactly the radius is inside. Coordinates may be floats or arrays, which
-    are compared elementwise with the same arithmetic."""
-    return _squared_distance(point, centre) <= radius * radius
+    """True when point lies in the closed disc about centre, the rule
+    offset_in_disc states. Coordinates may be floats or arrays."""
+    return offset_in_disc(point[0] - centre[0], point[1] - centre[1], radius)
 
 
 def in_range(params: RadioParams, a: tuple[float, float], b: tuple[float, float]) -> bool:
@@ -122,40 +137,51 @@ def in_range(params: RadioParams, a: tuple[float, float], b: tuple[float, float]
 class ConnectivityGraph:
     """Undirected disc-model connectivity over a node subset.
 
-    Built from compressed sparse rows: nodes holds the node ids ascending,
-    and row k belongs to nodes[k], its neighbours being the rows
-    indices[indptr[k]:indptr[k + 1]], ascending. Each row is kept as a
-    tuple of neighbour ids, so traversals are deterministic; the ids in
-    them are the objects of `nodes`, shared rather than copied.
+    Compressed sparse rows over flat Python lists: nodes holds the node ids
+    ascending, and row k belongs to nodes[k], its neighbours being the ids
+    neighbours[indptr[k]:indptr[k + 1]], ascending, so traversals are
+    deterministic. The ids in `neighbours` are the objects of `nodes`,
+    shared rather than copied. `row` maps each node to its row number.
     """
 
     def __init__(self, nodes: np.ndarray, indptr: np.ndarray, indices: np.ndarray):
+        """Rows from numpy CSR arrays; indices holds row numbers, not ids."""
         self.nodes: tuple[int, ...] = tuple(nodes.tolist())
-        flat = np.array(self.nodes, dtype=object)[indices].tolist()
-        bounds = indptr.tolist()
-        self._rows: dict[int, tuple[int, ...]] = {
-            node: tuple(flat[lo:hi]) for node, lo, hi in zip(self.nodes, bounds, bounds[1:])}
+        self.indptr: list[int] = indptr.tolist()
+        self.neighbours: list[int] = np.array(self.nodes, dtype=object)[indices].tolist()
+        self.row: dict[int, int] = dict(zip(self.nodes, range(len(self.nodes))))
 
     def __contains__(self, node: int) -> bool:
-        return node in self._rows
+        return node in self.row
 
-    @property
+    @cached_property
     def adj(self):
-        """Read-only mapping from each node to its ascending neighbours."""
-        return MappingProxyType(self._rows)
+        """Read-only mapping from each node to the tuple of its ascending
+        neighbours, made on first use."""
+        flat, bounds = self.neighbours, self.indptr
+        return MappingProxyType({node: tuple(flat[lo:hi])
+                                 for node, lo, hi in zip(self.nodes, bounds, bounds[1:])})
 
-    def neighbors(self, node: int) -> tuple[int, ...]:
-        return self._rows[node]
+    def neighbors(self, node: int) -> list[int]:
+        """A fresh list of node's neighbours, ascending; KeyError when the
+        node is absent."""
+        k = self.row[node]
+        return self.neighbours[self.indptr[k]:self.indptr[k + 1]]
 
     def has_edge(self, a: int, b: int) -> bool:
         """Binary search for b in a's row; False when either id is absent."""
-        row = self._rows.get(a, ())
-        k = bisect_left(row, b)
-        return k < len(row) and row[k] == b
+        k = self.row.get(a)
+        if k is None:
+            return False
+        lo, hi = self.indptr[k], self.indptr[k + 1]
+        at = bisect_left(self.neighbours, b, lo, hi)
+        return at < hi and self.neighbours[at] == b
 
     def edges(self) -> list[tuple[int, int]]:
         """Every edge once as (a, b) with a < b, sorted."""
-        return [(a, b) for a, row in self._rows.items() for b in row if a < b]
+        flat, bounds = self.neighbours, self.indptr
+        return [(a, b) for a, lo, hi in zip(self.nodes, bounds, bounds[1:])
+                for b in flat[lo:hi] if a < b]
 
 
 # Cells are never smaller than this fraction of the layout's extent. That
@@ -217,12 +243,22 @@ def build_graph(ids, px: np.ndarray, py: np.ndarray, params: RadioParams) -> Con
     n = len(ids)
     r = params.reach
     i, j = candidate_pairs(px, py, r * (1.0 + 1e-9))
-    linked = in_disc((px[i], py[i]), (px[j], py[j]), r)
+    dx = px[i]
+    dx -= px[j]
+    dy = py[i]
+    dy -= py[j]
+    linked = np.flatnonzero(offset_in_disc(dx, dy, r))
     i = i[linked]
     j = j[linked]
     # row-major (row, column) codes of both directions of every edge; rows
     # are positions in the id-sorted order, so the sorted codes are the CSR
-    codes = np.sort(np.concatenate([i * n + j, j * n + i]))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(codes // n, minlength=n), out=indptr[1:])
-    return ConnectivityGraph(ids, indptr, codes % n)
+    m = len(i)
+    codes = np.empty(2 * m, dtype=np.int64)
+    np.multiply(i, n, out=codes[:m])
+    codes[:m] += j
+    np.multiply(j, n, out=codes[m:])
+    codes[m:] += i
+    codes.sort()
+    indptr = np.searchsorted(codes, np.arange(n + 1) * n)
+    codes %= n
+    return ConnectivityGraph(ids, indptr, codes)

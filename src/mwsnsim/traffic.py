@@ -125,17 +125,26 @@ class PdrTracker:
 
 
 def hop_distances(graph, dst: int) -> dict[int, int]:
-    """BFS hop counts from every reachable node to dst."""
-    if dst not in graph:
+    """BFS hop counts from every reachable node to dst, level by level over
+    the graph's flat neighbour rows; nodes enter the result in BFS order.
+    The walk stops once every node has its count."""
+    row = graph.row
+    if dst not in row:
         return {}
+    flat, bounds = graph.neighbours, graph.indptr
     dist = {dst: 0}
-    frontier = deque([dst])
-    while frontier:
-        u = frontier.popleft()
-        for v in graph.neighbors(u):
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                frontier.append(v)
+    frontier = [dst]
+    hops = 0
+    while frontier and len(dist) < len(row):
+        hops += 1
+        reached = []
+        for u in frontier:
+            k = row[u]
+            for v in flat[bounds[k]:bounds[k + 1]]:
+                if v not in dist:
+                    dist[v] = hops
+                    reached.append(v)
+        frontier = reached
     return dist
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import transmitters_respect_depletion
-from mwsnsim import metrics
+from mwsnsim import metrics, radio
 from mwsnsim.config import load_config, validate_config
 from mwsnsim.engine import (
     BadRange,
@@ -419,6 +419,54 @@ def test_node_drained_at_a_boundary_routes_nothing_that_frame(drained_traces):
                 dead_at_frame = set(died)
             elif rec["k"] == "tx":
                 assert rec["v"] not in dead_at_frame, (seed, scheme, rec)
+
+
+@pytest.mark.parametrize("overrides, boundary_deaths",
+                         [({"session_duration": 12.0}, False),
+                          ({**DRAINED_IDLE, "session_duration": 40.0}, True)],
+                         ids=["stock", "drained_idle"])
+def test_one_graph_build_per_instant_and_dead_count(overrides, boundary_deaths, monkeypatch):
+    """The stock event at t = 10 s falls on a frame boundary, and both
+    rebuild at that instant with the same alive set: the second keeps the
+    first graph and hop maps. The trace equals that of a run which builds
+    at every call, also when the idle charge kills nodes at boundaries."""
+    cfg = validate_config(overrides)
+    builds = []
+    build = radio.build_graph
+
+    def counted(*args):
+        builds.append(args[0])
+        return build(*args)
+
+    monkeypatch.setattr(radio, "build_graph", counted)
+    trace = Simulation(cfg, seed=3, scheme="mdlps").run()
+    frames = [rec["t"] for rec in trace if rec["k"] == "frame"]
+    crits = [rec["t"] for rec in trace if rec["k"] == "crit"]
+    assert crits == [10.0] and 10.0 in frames
+    assert len(builds) == len(frames)
+    assert any(rec["k"] == "dep" and rec["t"] in frames for rec in trace) == boundary_deaths
+
+    rebuild = Simulation._rebuild_graph
+
+    def always(self, t):
+        self._graph_stamp = None
+        rebuild(self, t)
+
+    monkeypatch.setattr(Simulation, "_rebuild_graph", always)
+    kept = len(builds)
+    assert Simulation(cfg, seed=3, scheme="mdlps").run() == trace
+    assert len(builds) - kept == len(frames) + len(crits)
+
+
+def test_a_death_at_the_same_instant_rebuilds_the_graph():
+    sim = Simulation(validate_config({"session_duration": 2.0}), seed=1, scheme="mdlps")
+    sim._rebuild_graph(1.0)
+    first = sim.graph
+    sim._rebuild_graph(1.0)
+    assert sim.graph is first
+    sim.dead.add(5)
+    sim._rebuild_graph(1.0)
+    assert 5 in first and 5 not in sim.graph
 
 
 def test_packet_in_flight_at_session_end_is_starved():

@@ -174,7 +174,7 @@ def test_two_nodes_at_half_range_share_an_edge():
     g = build_graph([0, 1], np.array([0.0, 125.0]), np.array([0.0, 0.0]), p)
     assert g.has_edge(0, 1) and g.has_edge(1, 0)
     assert g.edges() == [(0, 1)]
-    assert g.neighbors(0) == (1,) and g.neighbors(1) == (0,)
+    assert g.neighbors(0) == [1] and g.neighbors(1) == [0]
 
 
 def test_graph_matches_brute_force_all_pairs():
@@ -248,6 +248,50 @@ def test_graph_edges_equal_dense_rule(layout):
                             | {a for a, b in expected if b == node})
         assert not g.has_edge(node, max(ids) + 1)
     assert not g.has_edge(-1, ids[0] if ids else 0)
+
+
+@st.composite
+def _frames_with_dead_nodes(draw):
+    """A fleet of ids 0..n-1 placed as in _layouts, minus a drawn set of
+    dead ids, which leaves gaps mid-range, as the engine's graph of the
+    alive nodes has; with the dead ids and ids beyond the fleet as absent
+    ids to query."""
+    n = draw(st.integers(1, 30))
+    nominal = draw(st.sampled_from([10.0, 86.0, 250.0, 800.0]))
+    coord = st.one_of(st.integers(0, 40).map(lambda k: k * nominal / 4),
+                      st.floats(0.0, 2000.0, allow_nan=False))
+    px = np.array([draw(coord) for _ in range(n)])
+    py = np.array([draw(coord) for _ in range(n)])
+    dead = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+    alive = [i for i in range(n) if i not in dead]
+    absent = sorted(dead) + [n, n + 1, -1]
+    p = _params(rx_threshold=threshold_for_range(_params(), nominal))
+    return alive, px[alive], py[alive], p, absent
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_frames_with_dead_nodes())
+def test_rows_edges_adj_and_membership_agree(frame):
+    """neighbors, has_edge, edges(), adj and `in` describe one graph, the
+    dense rule's, over gapped ids; absent ids are in no row and no edge."""
+    alive, px, py, p, absent = frame
+    g = build_graph(alive, px, py, p)
+    expected = _dense_edges(alive, px, py, p)
+    assert g.edges() == sorted(expected)
+    assert list(g.adj) == alive
+    rows = {node: g.neighbors(node) for node in alive}
+    for node, row in rows.items():
+        assert node in g
+        assert all(a < b for a, b in zip(row, row[1:]))
+        assert g.adj[node] == tuple(row)
+    assert {(a, b) for a, row in rows.items() for b in row if a < b} == expected
+    for a in alive + absent:
+        for b in alive + absent:
+            assert g.has_edge(a, b) == g.has_edge(b, a) == ((min(a, b), max(a, b)) in expected)
+    for node in absent:
+        assert node not in g
+        with pytest.raises(KeyError):
+            g.neighbors(node)
 
 
 def test_pairs_at_the_range_are_found_across_cell_boundaries():

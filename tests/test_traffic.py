@@ -327,11 +327,21 @@ def test_route_to_self_is_trivial():
 
 @st.composite
 def _edge_lists(draw):
-    """Random undirected graphs over gapped ids, with isolated nodes."""
-    ids = draw(st.lists(st.integers(0, 500), min_size=1, max_size=25, unique=True))
+    """Random undirected graphs with isolated nodes, over gapped ids: either
+    spread ids, or a fleet 0..n-1 whose dead ids are missing. The
+    destination may be a missing id."""
+    if draw(st.booleans()):
+        ids = draw(st.lists(st.integers(0, 500), min_size=1, max_size=25, unique=True))
+        missing = [max(ids) + 1]
+    else:
+        n = draw(st.integers(1, 25))
+        dead = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+        ids = [i for i in range(n) if i not in dead]
+        missing = sorted(dead) + [n]
     pairs = [(a, b) for k, a in enumerate(ids) for b in ids[k + 1:]]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    return ids, edges, draw(st.sampled_from(ids))
+    dst = draw(st.one_of(st.sampled_from(ids), st.sampled_from(missing)))
+    return ids, edges, dst
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -340,7 +350,7 @@ def test_hop_distances_match_reference_bfs(case):
     ids, edges, dst = case
     g = _graph(edges, nodes=ids)
     dist = hop_distances(g, dst)
-    assert dist == _reference_hops(edges, dst)
+    assert dist == (_reference_hops(edges, dst) if dst in ids else {})
     for node, hops in dist.items():
         closer = [v for v in g.neighbors(node) if dist.get(v) == hops - 1]
         assert next_hop(g, dist, node) == (min(closer) if closer else None)
