@@ -39,6 +39,20 @@ commits can be measured with the same script:
 
     python benchmarks/bench.py --label parent --src /path/to/parent/src --out bench.json
     python benchmarks/bench.py --label change --out bench.json
+
+Perfbench pairs: with --perfbench PARENT_TREE, the repository's own
+benchmark instead, `perfbench/run.py --workload W --seed S --seconds T
+--trace 0`, run from this repository and from PARENT_TREE (another checkout
+of it), --pairs times per workload of `BENCHMARK.json`, whose `run_seconds`
+is T. Which tree goes first alternates from pair to pair: the parent in
+even pairs, this tree in odd ones. Each run's last JSON line goes into the
+--out file under `perfbench`, with per workload and end-to-end metric: both
+sides' median and quartiles, the pairs this tree won and lost, and the
+parent's interquartile range relative to its median. A metric is flagged
+`unresolved` when that relative spread exceeds the metric's `bound` in
+`BENCHMARK.json`, a fraction of the parent's median:
+
+    python benchmarks/bench.py --perfbench /path/to/parent --pairs 10 --out bench.json
 """
 
 from __future__ import annotations
@@ -54,6 +68,8 @@ import sys
 import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
+PERFBENCH_SEED = 424242
 RUN_SIZES = {22: 7, 200: 5, 1000: 3, 2000: 3}  # node count -> repeats
 CALL_LAYOUTS = {22: 800.0, 1000: 250.0}  # node count -> nominal range (m)
 # rebuild entry -> scenario overrides
@@ -237,31 +253,103 @@ def time_construction(src: str) -> dict:
     return result
 
 
+def perfbench_run(tree: str, workload: str, seconds: float) -> dict:
+    """One `perfbench/run.py --trace 0` run in tree: its last JSON line."""
+    done = subprocess.run(
+        [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+         "--seed", str(PERFBENCH_SEED), "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    if not lines:
+        return {"correct": False, "exit": done.returncode, "stderr": done.stderr[-2000:]}
+    return {**json.loads(lines[-1]), "exit": done.returncode}
+
+
+def quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+def summarize_pairs(runs: list[dict], metric: dict) -> dict:
+    """Both sides of one workload's pairs on one end-to-end metric."""
+    name, lower = metric["name"], metric["better"] == "lower"
+    values = {side: [r["metrics"][name]["value"] for r in runs if r["side"] == side]
+              for side in ("parent", "change")}
+    parent, change = quartiles(values["parent"]), quartiles(values["change"])
+    wins = [c < p if lower else c > p for p, c in zip(values["parent"], values["change"])]
+    iqr_rel = (parent["q3"] - parent["q1"]) / parent["median"]
+    return {"parent": parent, "change": change, "pairs": len(wins),
+            "change_better_pairs": sum(wins), "change_worse_pairs": len(wins) - sum(wins),
+            "median_change_over_parent": change["median"] / parent["median"],
+            "parent_iqr_relative": iqr_rel, "bound": metric["bound"],
+            "unresolved": iqr_rel > metric["bound"]}
+
+
+def compare_perfbench(parent_tree: str, pairs: int) -> dict:
+    """Alternated perfbench pairs of this tree and parent_tree per workload."""
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        spec = json.load(fh)
+    seconds = spec["run_seconds"]
+    trees = {"parent": os.path.abspath(parent_tree), "change": ROOT}
+    runs, summary = [], {}
+    for workload in (w["name"] for w in spec["workloads"]):
+        done = []
+        for pair in range(pairs):
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            for side in order:
+                run = perfbench_run(trees[side], workload, seconds)
+                run.update(workload=workload, pair=pair, side=side, first=order[0])
+                done.append(run)
+                print(f"{workload} pair {pair} {side}: correct {run.get('correct')}, "
+                      + ", ".join(f"{m} {v['value']:.4g}"
+                                  for m, v in sorted(run.get("metrics", {}).items())), flush=True)
+        ok = all(r.get("correct") for r in done)
+        summary[workload] = {"all_correct": ok, "failed": {
+            side: sum(r.get("failed", 0) for r in done if r["side"] == side)
+            for side in trees}}
+        if ok:
+            summary[workload].update({m["name"]: summarize_pairs(done, m)
+                                      for m in spec["end_to_end"]})
+        runs += done
+    return {"command": f"python3 perfbench/run.py --workload W --seed {PERFBENCH_SEED} "
+                       f"--seconds {seconds:g} --trace 0",
+            "order": f"{pairs} pairs per workload; the parent runs first in even pairs, "
+                     "this tree in odd ones",
+            "runs": runs, "summary": summary}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--label", required=True, help="key of this invocation's results")
+    ap.add_argument("--label", help="key of this invocation's results")
     ap.add_argument("--src", default=os.path.join(HERE, "..", "src"),
                     help="source tree that holds the mwsnsim package to time")
+    ap.add_argument("--perfbench", metavar="PARENT_TREE",
+                    help="run perfbench pairs of this repository against PARENT_TREE instead")
+    ap.add_argument("--pairs", type=int, default=10, help="perfbench pairs per workload")
     ap.add_argument("--out", required=True,
                     help="JSON file that the results are merged into")
     args = ap.parse_args(argv)
+    if args.perfbench is None and args.label is None:
+        ap.error("--label is required unless --perfbench is given")
     sys.path.insert(0, os.path.abspath(args.src))
     import numpy as np
-    import mwsnsim
 
-    build, bfs = time_calls()
-    result = {"backend": mwsnsim.BACKEND, "runs": time_runs(),
-              "build_graph": build, "hop_distances": bfs, "rebuild": time_rebuilds(args.src),
-              "construct": time_construction(args.src), "serialize": time_serialization()}
     doc = {}
     if os.path.exists(args.out):
         with open(args.out, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+    if args.perfbench is not None:
+        doc["perfbench"] = compare_perfbench(args.perfbench, args.pairs)
+    else:
+        build, bfs = time_calls()
+        doc.setdefault("results", {})[args.label] = {
+            "runs": time_runs(), "build_graph": build, "hop_distances": bfs,
+            "rebuild": time_rebuilds(args.src), "construct": time_construction(args.src),
+            "serialize": time_serialization()}
     doc["machine"] = {"platform": platform.platform(), "machine": platform.machine(),
                       "cpus": os.cpu_count()}
     doc["python"] = platform.python_version()
     doc["numpy"] = np.__version__
-    doc.setdefault("results", {})[args.label] = result
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")

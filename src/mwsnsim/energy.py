@@ -42,27 +42,30 @@ def airtime(nbytes: int, costs: EnergyCosts) -> float:
     return 8.0 * nbytes / costs.link_rate
 
 
-def consume_tx(state: BatteryState, costs: EnergyCosts, nbytes: int) -> BatteryState:
-    """Charge the battery for transmitting nbytes; clamps at zero."""
+def _charge(state: BatteryState, power: float, seconds: float, refusal: str) -> BatteryState:
+    """The one charge rule: refuse an empty battery, then subtract
+    power * seconds, clamped at zero."""
     if state.depleted:
-        raise Depleted("transmit attempted on a depleted battery")
-    state.level = max(0.0, state.level - costs.tx_power * airtime(nbytes, costs))
+        raise Depleted(refusal)
+    state.level = max(0.0, state.level - power * seconds)
     return state
+
+
+def consume_tx(state: BatteryState, costs: EnergyCosts, nbytes: int) -> BatteryState:
+    """Charge the battery for transmitting nbytes."""
+    return _charge(state, costs.tx_power, airtime(nbytes, costs),
+                   "transmit attempted on a depleted battery")
 
 
 def consume_rx(state: BatteryState, costs: EnergyCosts, nbytes: int) -> BatteryState:
-    """Charge the battery for receiving nbytes; clamps at zero."""
-    if state.depleted:
-        raise Depleted("receive attempted on a depleted battery")
-    state.level = max(0.0, state.level - costs.rx_power * airtime(nbytes, costs))
-    return state
+    """Charge the battery for receiving nbytes."""
+    return _charge(state, costs.rx_power, airtime(nbytes, costs),
+                   "receive attempted on a depleted battery")
 
 
 def consume_idle(state: BatteryState, costs: EnergyCosts, seconds: float) -> BatteryState:
-    if state.depleted:
-        raise Depleted("idle drain on a depleted battery")
-    state.level = max(0.0, state.level - costs.idle_power * seconds)
-    return state
+    """Charge the battery for seconds of idle listening."""
+    return _charge(state, costs.idle_power, seconds, "idle drain on a depleted battery")
 
 
 def battery_level(state: BatteryState) -> int:

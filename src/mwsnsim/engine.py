@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import defaultdict
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -39,25 +39,17 @@ class BadRange(Exception):
 SETUP, LAST = 0, math.inf  # ranks of simultaneous events; see EventQueue
 
 
-class Event(NamedTuple):
-    """A scheduled event: at `time` the loop calls `handler(sim, event)`.
-    The handler is a plain function such as `Simulation._on_frame_boundary`,
-    never a bound method, so a queued event holds no reference back to its
-    simulation. Heap order is (time, rank, seq), and seq is unique, so
-    handler and payload are never compared."""
-
-    time: float
-    rank: float
-    seq: int
-    handler: Callable
-    payload: tuple
-
-
 class EventQueue:
-    """Min-heap of events keyed by (time, rank, seq), seq being the count of
-    events scheduled before. At one instant a simulation's events run in
-    this order, so after t = 0 a critical event and that instant's
-    emissions come before its frame boundary:
+    """Min-heap of events, each a plain (time, rank, seq, handler, payload)
+    tuple, seq being the count of events scheduled before. At `time` the
+    loop calls `handler(sim, time, *payload)`. The handler is a plain
+    function such as `Simulation._on_frame_boundary`, never a bound method,
+    so a queued event holds no reference back to its simulation; and seq is
+    unique, so handler and payload are never compared.
+
+    At one instant a simulation's events run in this order, so after t = 0
+    a critical event and that instant's emissions come before its frame
+    boundary:
       1. the events scheduled at construction (rank SETUP): the first frame
          boundary, then the critical events by index;
       2. packet emissions, by flow index (rank 1 + flow index);
@@ -65,7 +57,7 @@ class EventQueue:
     """
 
     def __init__(self):
-        self._heap: list[Event] = []
+        self._heap: list[tuple] = []
         self.now = 0.0
         self.scheduled = 0
 
@@ -80,15 +72,15 @@ class EventQueue:
             raise ValueError("event time must be finite")
         seq = self.scheduled
         self.scheduled += 1
-        heapq.heappush(self._heap, Event(time, rank, seq, handler, payload))
+        heapq.heappush(self._heap, (time, rank, seq, handler, payload))
         return seq
 
     def peek_time(self) -> float | None:
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
-    def pop(self) -> Event:
+    def pop(self) -> tuple:
         event = heapq.heappop(self._heap)
-        self.now = event.time
+        self.now = event[0]
         return event
 
 
@@ -431,8 +423,7 @@ class Simulation:
                  for n in holders if n not in skip], orphans)
 
     # handlers ---------------------------------------------------------------
-    def _on_frame_boundary(self, ev: Event) -> None:
-        t = ev.time
+    def _on_frame_boundary(self, t: float) -> None:
         # the frame's idle charge comes first, so a node it drains is out of
         # the graph that routes this frame
         if self.costs.idle_power > 0:
@@ -483,9 +474,7 @@ class Simulation:
             "n1": dict(sorted(self.n1_map.items())),
         })
 
-    def _on_slot_transmit(self, ev: Event) -> None:
-        t = ev.time
-        f, s, node = ev.payload
+    def _on_slot_transmit(self, t: float, f: int, s: int, node: int) -> None:
         if node in self.dead:
             return
         q = self.queues[node]
@@ -526,9 +515,8 @@ class Simulation:
                 Simulation._on_packet_delivered, (p, node, hop))
             break
 
-    def _on_packet_delivered(self, ev: Event) -> None:
-        t = ev.time
-        p, sender, receiver = ev.payload
+    def _on_packet_delivered(self, t: float, p: traffic_mod.Packet, sender: int,
+                             receiver: int) -> None:
         if receiver in self.dead:
             self._drop(p, receiver, t, "no_route", detail="receiver_dead")
             return
@@ -548,9 +536,7 @@ class Simulation:
         else:
             self._enqueue(receiver, p, t)
 
-    def _on_critical_event(self, ev: Event) -> None:
-        t = ev.time
-        (idx,) = ev.payload
+    def _on_critical_event(self, t: float, idx: int) -> None:
         ev_cfg = self.critical_events[idx]
         x, y, r = float(ev_cfg["x"]), float(ev_cfg["y"]), float(ev_cfg["radius"])
         self.trace.append({"k": "crit", "t": t, "ev": idx, "x": x, "y": y, "r": r})
@@ -603,9 +589,7 @@ class Simulation:
             return
         self._enqueue(src, p, t)
 
-    def _on_packet_generated(self, ev: Event) -> None:
-        t = ev.time
-        idx, k = ev.payload
+    def _on_packet_generated(self, t: float, idx: int, k: int) -> None:
         fl = self.flows[idx]
         if fl.importance_override is not None:
             imp = fl.importance_override
@@ -623,8 +607,8 @@ class Simulation:
     def run_until(self, t_end: float) -> list[dict]:
         """Process every event due by t_end, in queue order; return the trace."""
         while len(self.queue) > 0 and self.queue.peek_time() <= t_end:
-            event = self.queue.pop()
-            event.handler(self, event)
+            t, _, _, handler, payload = self.queue.pop()
+            handler(self, t, *payload)
         return self.trace
 
     def run(self) -> list[dict]:
@@ -638,9 +622,9 @@ class Simulation:
         # count does not depend on which nodes the run asked about
         self.mob.tick(t_end)
         # packets still on the air when the session closes count as starved
-        for event in sorted(self.queue._heap):
-            if event.handler is Simulation._on_packet_delivered:
-                p, _, receiver = event.payload
+        for _, _, _, handler, payload in sorted(self.queue._heap):
+            if handler is Simulation._on_packet_delivered:
+                p, _, receiver = payload
                 self._drop(p, receiver, t_end, "starved", detail="in_flight")
         for node in range(self.n):
             for p in list(self.queues[node]):

@@ -95,20 +95,15 @@ def run_one(config: ScenarioConfig, seed: int, scheme: str) -> RunReport:
     return report
 
 
-def effective_radio_range(config: ScenarioConfig) -> tuple[float, float]:
-    """(nominal range, reception threshold) the runs will use."""
-    r = config["radio"]
-    return r["nominal_range"], params_for_range(r, config.wavelength).rx_threshold
-
-
 def run_header_text(config: ScenarioConfig, seeds: list[int], schemes: list[str]) -> str:
-    nominal, threshold = effective_radio_range(config)
+    # the link radius and reception threshold the runs use
+    radio = params_for_range(config["radio"], config.wavelength)
     lines = [
         "mwsnsim run header",
         f"schemes: {','.join(schemes)}",
         f"seeds: {','.join(str(s) for s in seeds)}",
-        f"effective_radio_range_m: {nominal!r}",
-        f"rx_threshold_w: {threshold!r}",
+        f"effective_radio_range_m: {radio.reach!r}",
+        f"rx_threshold_w: {radio.rx_threshold!r}",
         "resolved configuration:",
         config.to_yaml().rstrip("\n"),
         "",

@@ -152,19 +152,16 @@ def depleted_nodes(trace: list[dict]) -> list[int]:
     return [rec["n"] for rec in trace if rec["k"] == "dep"]
 
 
-def _end_record(trace: list[dict]) -> dict:
-    for rec in reversed(trace):
-        if rec["k"] == "end":
-            return rec
-    raise ValueError("trace has no end record")
-
-
 def orphan_frame_count(trace: list[dict]) -> int:
     return sum(len(rec.get("orph", ())) for rec in trace if rec["k"] == "frame")
 
 
 def session_of(trace: list[dict]) -> float:
-    return _end_record(trace)["t"]
+    """The session length, the time of the trace's end record."""
+    for rec in reversed(trace):
+        if rec["k"] == "end":
+            return rec["t"]
+    raise ValueError("trace has no end record")
 
 
 METRIC_FUNCTIONS = {

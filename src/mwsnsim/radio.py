@@ -91,14 +91,22 @@ def range_for_threshold(params: RadioParams) -> float:
 
 def params_for_range(section: dict, wavelength: float) -> RadioParams:
     """Parameters from a config's radio section, with the reception threshold
-    set so the effective range equals section["nominal_range"]."""
+    set so the effective range `reach` is section["nominal_range"], or a
+    float just above it where the law's round trip lands short: a pair at
+    exactly the nominal range always links."""
     base = RadioParams(
         tx_power=section["tx_power"], tx_gain=section["tx_gain"], rx_gain=section["rx_gain"],
         antenna_height_tx=section["antenna_height_tx"],
         antenna_height_rx=section["antenna_height_rx"],
         system_loss=section["system_loss"], wavelength=wavelength, rx_threshold=1.0,
     )
-    return replace(base, rx_threshold=threshold_for_range(base, section["nominal_range"]))
+    nominal = section["nominal_range"]
+    params = replace(base, rx_threshold=threshold_for_range(base, nominal))
+    # a lower threshold only lengthens the range; an infinite one stays, for
+    # config to refuse
+    while params.reach < nominal and math.isfinite(params.rx_threshold):
+        params = replace(params, rx_threshold=math.nextafter(params.rx_threshold, 0.0))
+    return params
 
 
 def _squared_norm(dx, dy):

@@ -116,3 +116,23 @@ def test_factor_shape_quick_sweep():
         at_threshold = battery_factor(_state(threshold, initial, threshold, levels, penalty))
         assert at_threshold == 1.0
         assert all(x >= at_threshold for x in xs_below + xs_above)
+
+
+@pytest.mark.parametrize("charge, amount, power, seconds, refusal", [
+    (consume_tx, 1000, 0.6, 8e-3, "transmit attempted on a depleted battery"),
+    (consume_rx, 1000, 0.3, 8e-3, "receive attempted on a depleted battery"),
+    (consume_idle, 2.5, 0.05, 2.5, "idle drain on a depleted battery"),
+])
+@pytest.mark.parametrize("level", [50.0, 0.01, 0.0024, 1e-300])
+def test_each_charge_is_the_one_rule(charge, amount, power, seconds, refusal, level):
+    """tx, rx and idle each leave exactly max(0, level - power * seconds),
+    seconds being the airtime of the payload or the idle time, and each
+    refuses an empty battery with its own message."""
+    costs = EnergyCosts(tx_power=0.6, rx_power=0.3, idle_power=0.05, link_rate=1e6)
+    st = _state(level)
+    assert charge(st, costs, amount) is st
+    assert st.level == max(0.0, level - power * seconds)
+    empty = _state(0.0)
+    with pytest.raises(Depleted, match=f"^{refusal}$"):
+        charge(empty, costs, amount)
+    assert empty.level == 0.0

@@ -12,7 +12,6 @@ from mwsnsim import metrics, radio
 from mwsnsim.config import load_config, validate_config
 from mwsnsim.engine import (
     BadRange,
-    Event,
     EventQueue,
     PastEvent,
     RandomStream,
@@ -30,8 +29,8 @@ def test_schedule_single_event_is_head():
     q = EventQueue()
     q.schedule(1.0, Simulation._on_frame_boundary)
     assert q.peek_time() == 1.0
-    ev = q.pop()
-    assert ev.time == 1.0 and ev.handler is Simulation._on_frame_boundary
+    t, _, _, handler, payload = q.pop()
+    assert t == 1.0 and handler is Simulation._on_frame_boundary and payload == ()
 
 
 def test_equal_time_events_dequeue_in_schedule_order():
@@ -39,8 +38,8 @@ def test_equal_time_events_dequeue_in_schedule_order():
     first = q.schedule(2.0, Simulation._on_frame_boundary, ("a",))
     second = q.schedule(2.0, Simulation._on_frame_boundary, ("b",))
     assert first < second
-    assert q.pop().payload == ("a",)
-    assert q.pop().payload == ("b",)
+    assert q.pop()[2:] == (first, Simulation._on_frame_boundary, ("a",))
+    assert q.pop()[2:] == (second, Simulation._on_frame_boundary, ("b",))
 
 
 def test_schedule_in_the_past_raises():
@@ -523,10 +522,10 @@ def test_emissions_locate_no_source_before_the_first_event(monkeypatch):
             asked.append(t)
         return locate(self, i, t)
 
-    def emission(sim, ev):
-        emitting.append(ev)
+    def emission(sim, t, idx, k):
+        emitting.append((idx, k))
         try:
-            emit(sim, ev)
+            emit(sim, t, idx, k)
         finally:
             emitting.pop()
 

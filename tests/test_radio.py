@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import mwsnsim
 from mwsnsim import Simulation, validate_config
+from mwsnsim.harness import run_header_text
 from mwsnsim.radio import (
     RadioParams,
     build_graph,
@@ -155,6 +156,33 @@ def test_pairs_at_the_range_and_one_ulp_beyond(nominal):
     for d in (r, math.nextafter(r, math.inf)):
         assert _agrees_with_graph(p, (0.0, 0.0), (d, 0.0)), d
         assert _agrees_with_graph(p, (100.0, 100.0), (100.0, 100.0 + d)), d
+
+
+def test_every_decimetre_range_links_a_pair_at_that_range():
+    """The path-loss round trip from the nominal range to the threshold and
+    back lands one ulp short at some ranges (31.6 m among them); the link
+    radius is never below the nominal range, at every range from 0.1 to
+    3000 m in 0.1 m steps."""
+    cfg = validate_config({})
+    section = dict(cfg["radio"])
+    short = []
+    for tenths in range(1, 30001):
+        section["nominal_range"] = tenths / 10
+        if params_for_range(section, cfg.wavelength).reach < tenths / 10:
+            short.append(tenths / 10)
+    assert short == []
+
+
+def test_two_nodes_exactly_at_a_short_round_trip_range_link():
+    """31.6 m is a range whose round trip lands short: two nodes placed
+    exactly that far apart share an edge, and in_range agrees."""
+    cfg = validate_config({"radio": {"nominal_range": 31.6}})
+    p = params_for_range(cfg["radio"], cfg.wavelength)
+    assert p.reach == 31.6
+    g = build_graph([0, 1], np.array([0.0, 31.6]), np.array([0.0, 0.0]), p)
+    assert g.has_edge(0, 1)
+    assert in_range(p, (0.0, 0.0), (31.6, 0.0))
+    assert "effective_radio_range_m: 31.6\n" in run_header_text(cfg, [1], ["mdlps"])
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
