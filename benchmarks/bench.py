@@ -153,12 +153,14 @@ def time_per_call(fn, target_s: float = 0.2, batches: int = 9) -> float:
 
 def time_calls() -> tuple[dict, dict]:
     import numpy as np
-    from mwsnsim import radio, traffic, validate_config
+    from mwsnsim import Simulation, radio, traffic, validate_config
 
     build, bfs = {}, {}
     for n, nominal in CALL_LAYOUTS.items():
+        # the parameters a run at this range uses, read from the engine so
+        # any source tree's derivation of them is the one timed
         cfg = validate_config({"radio": {"nominal_range": nominal}})
-        params = radio.params_for_range(cfg["radio"], cfg.wavelength)
+        params = Simulation(cfg, seed=1, scheme="mdlps").radio
         rng = np.random.default_rng(n)
         px = rng.uniform(0.0, TERRAIN, n)
         py = rng.uniform(0.0, TERRAIN, n)

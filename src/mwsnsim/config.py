@@ -18,9 +18,7 @@ from typing import Any, Callable
 
 import yaml
 
-from .radio import params_for_range, range_for_threshold
-
-SPEED_OF_LIGHT = 299792458.0
+from .radio import params_for_range
 
 
 class ParseError(Exception):
@@ -105,13 +103,6 @@ SCHEMA: dict[str, tuple[Any, Rule]] = {
     "flow.pdr_threshold": (0.25, _number(0, 1, "[)")),
     "flow.deadline_budget": (5.0, _POSITIVE),
     "flow.pdr_window": (20, _integer(1)),
-    "radio.frequency": (914e6, _POSITIVE),
-    "radio.tx_power": (0.28183815, _POSITIVE),
-    "radio.tx_gain": (1.0, _POSITIVE),
-    "radio.rx_gain": (1.0, _POSITIVE),
-    "radio.antenna_height_tx": (1.5, _POSITIVE),
-    "radio.antenna_height_rx": (1.5, _POSITIVE),
-    "radio.system_loss": (1.0, _number(1)),
     "radio.nominal_range": (250.0, _POSITIVE),
     "energy.tx_power": (0.6, _NON_NEGATIVE),
     "energy.rx_power": (0.3, _NON_NEGATIVE),
@@ -278,10 +269,6 @@ class ScenarioConfig:
     def scheduler(self) -> str:
         return self._d["scheduler"]
 
-    @property
-    def wavelength(self) -> float:
-        return SPEED_OF_LIGHT / self._d["radio"]["frequency"]
-
     def with_overrides(self, **top_level) -> "ScenarioConfig":
         """New config with top-level scalar fields replaced and re-validated."""
         d = self.to_dict()
@@ -289,12 +276,12 @@ class ScenarioConfig:
         return validate_config(d)
 
 
-def _finite_disc(radio: dict[str, Any]) -> bool:
-    """Whether the radio section implies a reception threshold that is
+def _finite_disc(nominal_range: float) -> bool:
+    """Whether the nominal range implies a reception threshold that is
     finite and > 0 and a finite range, the radius of every link's disc."""
     try:
-        params = params_for_range(radio, SPEED_OF_LIGHT / radio["frequency"])
-        return 0 < params.rx_threshold < math.inf and math.isfinite(range_for_threshold(params))
+        params = params_for_range(nominal_range)
+        return 0 < params.rx_threshold < math.inf and math.isfinite(params.reach)
     except ArithmeticError:  # a division by zero or an overflow on extreme values
         return False
 
@@ -323,9 +310,8 @@ def _validate(d: dict[str, Any]) -> dict[str, Any]:
              "mobility.controlled_speed_cap", "must lie strictly between 0 and speed_max")
     _require(o["density_weight"] + o["bandwidth_weight"] > 0,
              "options.density_weight", "weights must not both be zero")
-    _require(_finite_disc(d["radio"]), "radio.nominal_range",
-             "with the other radio fields, must give a finite reception threshold > 0"
-             " and a finite range")
+    _require(_finite_disc(d["radio"]["nominal_range"]), "radio.nominal_range",
+             "must give a finite reception threshold > 0 and a finite range")
 
     for name, schema in _entry_schemas(d, n_sensors).items():
         if d[name] is not None:

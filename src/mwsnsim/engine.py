@@ -214,7 +214,7 @@ class Simulation:
         self.class_thresholds = tuple(m["class_thresholds"])
 
     def _build_radio(self) -> None:
-        self.radio = radio_mod.params_for_range(self.cfg["radio"], self.cfg.wavelength)
+        self.radio = radio_mod.params_for_range(self.cfg["radio"]["nominal_range"])
         self.graph = None
         self.dist_maps: dict[int, dict[int, int]] = {}
         self._graph_stamp: tuple[float, int] | None = None
@@ -431,25 +431,25 @@ class Simulation:
                 energy_mod.consume_idle(self.battery[node], self.costs, self.grid.frame_length)
                 self._note_depletion(node, t)
         self._rebuild_graph(t)
-        contenders, orphans = None, []
-        if self.grid.armed:  # never allocated yet: the startup allocation
+        orphans, lent = [], []
+        startup = self.grid.armed  # never allocated yet
+        if startup:
             contenders, orphans = self._candidates(t)
             if contenders:
                 sched.allocate_slots(contenders, self.grid)
                 self._trace_alloc(t, "startup", -1)
-        # frozen holders keep their positions; a position with no live
-        # holder is lent for this frame to the best contender holding none
+        # frozen holders keep their positions; on a later frame a position
+        # with no live holder is lent for the frame to the best contender
+        # holding none (a startup allocation leaves a position open only
+        # when every contender holds one)
         live = {pos: h for pos, h in self.grid.assignment.items()
                 if h is not None and h not in self.dead}
         granted = [(f, s, h) for (f, s), h in live.items() if len(self.queues[h]) > 0]
         open_positions = [pos for pos in self.grid.assignment if pos not in live]
-        lent = []
-        if open_positions:
-            holders = set(live.values())
-            if contenders is None:
-                contenders, orphans = self._candidates(t, skip=holders)
-            spare = [pt for pt in contenders if pt.node not in holders]
-            lent = [(f, s, node) for (f, s), node in sched.fill_positions(open_positions, spare)]
+        if open_positions and not startup:
+            contenders, orphans = self._candidates(t, skip=set(live.values()))
+            lent = [(f, s, node)
+                    for (f, s), node in sched.fill_positions(open_positions, contenders)]
         rec = {
             "k": "frame", "t": t,
             "g": [list(g) for g in granted],

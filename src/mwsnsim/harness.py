@@ -97,7 +97,7 @@ def run_one(config: ScenarioConfig, seed: int, scheme: str) -> RunReport:
 
 def run_header_text(config: ScenarioConfig, seeds: list[int], schemes: list[str]) -> str:
     # the link radius and reception threshold the runs use
-    radio = params_for_range(config["radio"], config.wavelength)
+    radio = params_for_range(config["radio"]["nominal_range"])
     lines = [
         "mwsnsim run header",
         f"schemes: {','.join(schemes)}",

@@ -6,8 +6,13 @@ d_c = 4*pi*h_t*h_r / lambda and the two-ray law (1/d^4) at and beyond it;
 the two branches coincide at d_c. Reception is a hard threshold on power,
 which falls strictly with distance, so connectivity is a disc model (a unit
 disk graph): two nodes link when d^2 <= r^2, r = range_for_threshold (kept
-per parameter set as RadioParams.reach), the rule in_disc states once. The
-path-loss law only fixes the threshold and r.
+per parameter set as RadioParams.reach), the rule in_disc states once.
+
+As in NS-2, a scenario sets the range and the threshold is derived from it:
+params_for_range takes the configured nominal range alone and keeps the
+other constants at NS-2's WaveLAN defaults, the RadioParams defaults (914
+MHz, 0.28183815 W, unit gains, 1.5 m antennas, no system loss). The
+path-loss law only fixes the reported threshold and r.
 
 A uniform grid of cells whose side is the reception range yields the
 candidate pairs of the connectivity graph (a fixed-radius near-neighbour
@@ -36,7 +41,7 @@ class RadioParams:
     antenna_height_tx: float = 1.5
     antenna_height_rx: float = 1.5
     system_loss: float = 1.0
-    wavelength: float = 0.328
+    wavelength: float = 299792458.0 / 914e6  # the speed of light over 914 MHz
     rx_threshold: float = 3.652e-10
 
     @cached_property
@@ -89,22 +94,15 @@ def range_for_threshold(params: RadioParams) -> float:
     return math.sqrt(friis_coefficient(params) / thr)
 
 
-def params_for_range(section: dict, wavelength: float) -> RadioParams:
-    """Parameters from a config's radio section, with the reception threshold
-    set so the effective range `reach` is section["nominal_range"], or a
-    float just above it where the law's round trip lands short: a pair at
-    exactly the nominal range always links."""
-    base = RadioParams(
-        tx_power=section["tx_power"], tx_gain=section["tx_gain"], rx_gain=section["rx_gain"],
-        antenna_height_tx=section["antenna_height_tx"],
-        antenna_height_rx=section["antenna_height_rx"],
-        system_loss=section["system_loss"], wavelength=wavelength, rx_threshold=1.0,
-    )
-    nominal = section["nominal_range"]
-    params = replace(base, rx_threshold=threshold_for_range(base, nominal))
+def params_for_range(nominal_range: float) -> RadioParams:
+    """The default parameters with the reception threshold set so the
+    effective range `reach` is nominal_range, or a float just above it where
+    the law's round trip lands short: a pair at exactly the nominal range
+    always links."""
+    params = RadioParams(rx_threshold=threshold_for_range(RadioParams(), nominal_range))
     # a lower threshold only lengthens the range; an infinite one stays, for
     # config to refuse
-    while params.reach < nominal and math.isfinite(params.rx_threshold):
+    while params.reach < nominal_range and math.isfinite(params.rx_threshold):
         params = replace(params, rx_threshold=math.nextafter(params.rx_threshold, 0.0))
     return params
 

@@ -29,6 +29,8 @@ def scenarios(draw) -> dict:
     height = draw(st.floats(MIN_SIDE, 2000.0))
     session = draw(st.floats(1.0, 10.0))
     side = max(width, height)
+    # log-uniform, so half the links take over 0.08 s per 1000 B packet
+    link_rate = 10.0 ** draw(st.floats(4.0, 6.0))
     # from a battery that one transmission can empty to the stock 50 J
     initial = draw(st.sampled_from([0.01, 0.1, 1.0, 50.0, 50.0])) * draw(st.floats(0.5, 2.0))
     events = [{"time": draw(st.floats(0.0, session)),
@@ -45,12 +47,14 @@ def scenarios(draw) -> dict:
         "initial_energy": initial,
         "cbr_interval": draw(st.floats(0.1, 2.0)),
         "flow_count": 0 if draw(st.integers(0, 4)) == 0 else draw(st.integers(1, sensors)),
+        # the stock 5 s, or one short enough that slow links deliver late
+        "flow": {"deadline_budget": draw(st.just(5.0) | st.floats(0.1, 5.0))},
         "grid": {"frequencies": draw(st.integers(1, 4)),
                  "slots_per_frame": draw(st.integers(1, 5)),
                  "frame_length": draw(st.sampled_from([0.1, 0.25, 0.5, 1.0]))},
         "radio": {"nominal_range": side * draw(st.floats(0.1, 1.5))},
         "energy": {"idle_power": draw(st.sampled_from([0.0, 0.001, 0.01, 0.1])),
-                   "link_rate": draw(st.floats(1e4, 1e6)),
+                   "link_rate": link_rate,
                    "battery_threshold": initial * draw(st.floats(0.05, 0.9))},
         "mobility": {"pause_time": draw(st.sampled_from([0.0, 2.0]))},
         "options": {"gate_mode": draw(st.sampled_from(["sentinel", "drop"])),
@@ -79,6 +83,37 @@ def _placement_errors(trace: list[dict], queue_size: int) -> list[str]:
     return errors
 
 
+def _delivery_errors(trace: list[dict]) -> list[str]:
+    """Each packet's tx and rx records form a path from its source: every tx
+    is sent by the source or by the node of the packet's previous rx, with
+    h >= 1, and every rx is at the previous tx's v. An rx is final exactly
+    at the packet's dst, where its delay is t - gen.t and ok is
+    t <= gen.dl."""
+    errors = []
+    gen, holder, sent_to = {}, {}, {}
+    for rec in trace:
+        k = rec["k"]
+        if k == "gen":
+            gen[rec["p"]] = rec
+            holder[rec["p"]] = rec["src"]
+        elif k == "tx":
+            p = rec["p"]
+            if rec["u"] != holder[p] or rec["h"] < 1:
+                errors.append(f"tx of {p} by {rec['u']} (h={rec['h']}), held by {holder[p]}")
+            sent_to[p] = rec["v"]
+        elif k == "rx":
+            p, g = rec["p"], gen[rec["p"]]
+            if rec["n"] != sent_to.pop(p, None):
+                errors.append(f"rx of {p} at {rec['n']}, not where it was sent")
+            holder[p] = rec["n"]
+            if rec["fin"] != (rec["n"] == g["dst"]):
+                errors.append(f"rx of {p} at {rec['n']}: fin={rec['fin']}, dst {g['dst']}")
+            elif rec["fin"] and (rec["delay"] != rec["t"] - g["t"]
+                                 or rec["ok"] != (rec["t"] <= g["dl"])):
+                errors.append(f"final rx of {p}: {rec}, generated as {g}")
+    return errors
+
+
 @settings(derandomize=True, max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(scenarios(), st.integers(0, 2**32 - 1))
@@ -91,4 +126,5 @@ def test_random_scenarios_keep_the_trace_invariants(doc, seed):
         assert metrics.energy_monotone(trace), scheme
         assert transmitters_respect_depletion(trace), scheme
         assert _placement_errors(trace, doc["queue_size"]) == [], scheme
+        assert _delivery_errors(trace) == [], scheme
         assert trace_from_jsonl(trace_to_jsonl(trace)) == trace, scheme

@@ -148,8 +148,7 @@ def test_pairs_at_the_range_and_one_ulp_beyond(nominal):
     implied by the threshold is the nominal range exactly, and a pair placed
     r apart links. At r and at the next float beyond it, in_range and
     has_edge give the same answer."""
-    cfg = validate_config({"radio": {"nominal_range": nominal}})
-    p = params_for_range(cfg["radio"], cfg.wavelength)
+    p = params_for_range(nominal)
     r = range_for_threshold(p)
     assert r == nominal
     assert in_range(p, (100.0, 100.0), (100.0 + r, 100.0))
@@ -163,13 +162,8 @@ def test_every_decimetre_range_links_a_pair_at_that_range():
     back lands one ulp short at some ranges (31.6 m among them); the link
     radius is never below the nominal range, at every range from 0.1 to
     3000 m in 0.1 m steps."""
-    cfg = validate_config({})
-    section = dict(cfg["radio"])
-    short = []
-    for tenths in range(1, 30001):
-        section["nominal_range"] = tenths / 10
-        if params_for_range(section, cfg.wavelength).reach < tenths / 10:
-            short.append(tenths / 10)
+    short = [tenths / 10 for tenths in range(1, 30001)
+             if params_for_range(tenths / 10).reach < tenths / 10]
     assert short == []
 
 
@@ -177,7 +171,7 @@ def test_two_nodes_exactly_at_a_short_round_trip_range_link():
     """31.6 m is a range whose round trip lands short: two nodes placed
     exactly that far apart share an edge, and in_range agrees."""
     cfg = validate_config({"radio": {"nominal_range": 31.6}})
-    p = params_for_range(cfg["radio"], cfg.wavelength)
+    p = params_for_range(31.6)
     assert p.reach == 31.6
     g = build_graph([0, 1], np.array([0.0, 31.6]), np.array([0.0, 0.0]), p)
     assert g.has_edge(0, 1)
