@@ -27,6 +27,13 @@ Linux keeps that high-water mark across exec. The median and minimum
 construction time, the events pending after construction and the largest
 peak RSS are reported.
 
+Memory: `harness.run_experiment` of the event study
+(configs/event_study.yaml) with a 1000 s session, both schemes, writing its
+files and traces to a temporary directory, for seed 1 and for seeds 1-4,
+each in a fresh subprocess whose `VmHWM` is its peak RSS, as in the
+construction entry. The two peaks show whether memory grows with the seed
+count.
+
 Serialization: `trace_to_jsonl` on the 12 traces of the event study
 (configs/event_study.yaml, seeds 1-6, both schemes), timed in batches like
 the per-call entries: the fastest batch's microseconds per record, for all
@@ -86,6 +93,8 @@ TERRAIN = 2000.0
 LONG_SESSION = 36000.0  # seconds of the construction entry
 EVENT_STUDY = os.path.join(HERE, "..", "configs", "event_study.yaml")
 SERIALIZE_SEEDS = range(1, 7)  # run under both schemes
+MEMORY_SESSION = 1000.0  # seconds of the memory entry's event study
+MEMORY_SEEDS = {"seed_1": [1], "seeds_1_4": [1, 2, 3, 4]}  # each under both schemes
 CONSTRUCT_REPEATS = 5
 # run in a fresh interpreter: argv is this directory, the source tree and
 # the scenario's overrides as JSON
@@ -107,6 +116,22 @@ elapsed = time.perf_counter() - t0
 with open("/proc/self/status") as fh:
     hwm_kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
 print(json.dumps({"s": elapsed, "pending": len(sim.queue), "peak_rss_mb": hwm_kb / 1024}))
+"""
+# run in a fresh interpreter: argv is the source tree, the scenario file,
+# the session length and the seeds as JSON
+MEMORY_CHILD = """
+import json, sys, tempfile, time
+sys.path.insert(0, sys.argv[1])
+from mwsnsim import load_config
+from mwsnsim.harness import run_experiment
+cfg = load_config(sys.argv[2]).with_overrides(session_duration=float(sys.argv[3]))
+t0 = time.perf_counter()
+with tempfile.TemporaryDirectory() as out:
+    reports = run_experiment(cfg, json.loads(sys.argv[4]), ["mdlps", "data"], out_dir=out)
+elapsed = time.perf_counter() - t0
+with open("/proc/self/status") as fh:
+    hwm_kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+print(json.dumps({"s": elapsed, "runs": len(reports), "peak_rss_mb": hwm_kb / 1024}))
 """
 
 
@@ -255,6 +280,18 @@ def time_construction(src: str) -> dict:
     return result
 
 
+def measure_memory(src: str) -> dict:
+    out = {}
+    for name, seeds in MEMORY_SEEDS.items():
+        done = subprocess.run([sys.executable, "-c", MEMORY_CHILD, os.path.abspath(src),
+                               EVENT_STUDY, str(MEMORY_SESSION), json.dumps(seeds)],
+                              check=True, capture_output=True, text=True)
+        out[name] = {**json.loads(done.stdout), "seeds": seeds, "session_s": MEMORY_SESSION}
+        print(f"memory {name}: {out[name]['runs']} runs of {MEMORY_SESSION:.0f} s, "
+              f"{out[name]['peak_rss_mb']:.1f} MB peak RSS", flush=True)
+    return out
+
+
 def perfbench_run(tree: str, workload: str, seconds: float) -> dict:
     """One `perfbench/run.py --trace 0` run in tree: its last JSON line."""
     done = subprocess.run(
@@ -347,7 +384,7 @@ def main(argv=None) -> int:
         doc.setdefault("results", {})[args.label] = {
             "runs": time_runs(), "build_graph": build, "hop_distances": bfs,
             "rebuild": time_rebuilds(args.src), "construct": time_construction(args.src),
-            "serialize": time_serialization()}
+            "memory": measure_memory(args.src), "serialize": time_serialization()}
     doc["machine"] = {"platform": platform.platform(), "machine": platform.machine(),
                       "cpus": os.cpu_count()}
     doc["python"] = platform.python_version()

@@ -1,6 +1,6 @@
 """Check that two source trees produce byte-identical traces.
 
-Hashes (sha256) the canonical JSONL trace, `engine.trace_to_jsonl`, of every
+Hashes (sha256) the canonical JSONL trace, `mwsnsim.trace_to_jsonl`, of every
 run of a fixed set: seeds 1-20 x both schemes on fifteen 22-40-node scenarios,
 plus 1000 nodes at the stock 250 m range for 20 s, seeds 1-2 x both schemes.
 The `mwsnsim` package is imported from --src. One line per run is printed:
@@ -150,7 +150,7 @@ def trace_hashes(src: str):
     resolved config, {}, no totals)."""
     sys.path.insert(0, os.path.abspath(src))
     from mwsnsim.config import load_config, validate_config
-    from mwsnsim.engine import Simulation, trace_to_jsonl
+    from mwsnsim import Simulation, trace_to_jsonl
 
     for name, (source, seeds) in RUN_SET.items():
         cfg = (load_config(os.path.join(CONFIG_DIR, source)) if isinstance(source, str)

@@ -24,8 +24,6 @@ from . import scheduler as sched
 from . import traffic as traffic_mod
 from .config import SCHEMA, ScenarioConfig
 from .mobility import MobilityField, snapshot_classes
-# the trace codec lives in `trace`; these names stay importable from here
-from .trace import trace_from_jsonl, trace_to_jsonl  # noqa: F401
 
 
 class PastEvent(Exception):

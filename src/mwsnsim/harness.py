@@ -36,26 +36,28 @@ def _cell(x: float) -> str:
 
 
 class RunReport:
-    """Metrics of one run, all recomputed from its trace."""
+    """Metrics of one run, all recomputed from its trace records, which it
+    does not keep. `trace` is the path of the run's trace file, "" when no
+    file was written."""
 
-    def __init__(self, seed: int, scheme: str, trace: list[dict]):
+    def __init__(self, seed: int, scheme: str, records: list[dict]):
         self.seed = seed
         self.scheme = scheme
-        self.trace = trace
-        cons = metrics.conservation(trace)
+        self.trace = ""
+        cons = metrics.conservation(records)
         self.generated = cons["generated"]
         self.fates = cons["fates"]
         self.conservation_ok = cons["ok"]
         self.pdr = metrics.delivered_ratio(cons)
-        self.mean_delay = metrics.mean_delay(trace)
-        self.p95_delay = metrics.percentile_delay(trace, 95.0)
-        self.throughput = metrics.throughput_kbps(trace, metrics.session_of(trace))
-        self.depleted = metrics.depleted_nodes(trace)
-        self.orphan_frames = metrics.orphan_frame_count(trace)
-        self.max_queue = metrics.max_queue_length(trace)
+        self.mean_delay = metrics.mean_delay(records)
+        self.p95_delay = metrics.percentile_delay(records, 95.0)
+        self.throughput = metrics.throughput_kbps(records, metrics.session_of(records))
+        self.depleted = metrics.depleted_nodes(records)
+        self.orphan_frames = metrics.orphan_frame_count(records)
+        self.max_queue = metrics.max_queue_length(records)
         self.exec_orders = {
-            rec["ev"]: metrics.execution_order(trace, rec["ev"])
-            for rec in metrics.critical_events(trace)
+            rec["ev"]: metrics.execution_order(records, rec["ev"])
+            for rec in metrics.critical_events(records)
         }
 
     def row(self) -> list:
@@ -76,7 +78,7 @@ class FailedRun:
         self.seed = seed
         self.scheme = scheme
         self.error = error
-        self.trace: list[dict] = []
+        self.trace = ""
         self.exec_orders: dict[int, list[int]] = {}
 
     def row(self) -> list:
@@ -84,15 +86,17 @@ class FailedRun:
         return [self.seed, self.scheme, *blanks, f"{type(self.error).__name__}: {self.error}"]
 
 
-def run_one(config: ScenarioConfig, seed: int, scheme: str) -> RunReport:
-    """One run's report; raises ConservationError when its trace loses or
-    double-counts a packet, so the run is never averaged with the others."""
-    report = RunReport(seed, scheme, Simulation(config, seed=seed, scheme=scheme).run())
+def run_one(config: ScenarioConfig, seed: int, scheme: str) -> tuple[RunReport, list[dict]]:
+    """One run's report and trace records; raises ConservationError when the
+    trace loses or double-counts a packet, so the run is never averaged with
+    the others."""
+    records = Simulation(config, seed=seed, scheme=scheme).run()
+    report = RunReport(seed, scheme, records)
     if not report.conservation_ok:
         raise ConservationError(
             f"seed {seed} {scheme}: the {report.generated} generated packets do not "
             f"each have exactly one delivery or drop record")
-    return report
+    return report, records
 
 
 def run_header_text(config: ScenarioConfig, seeds: list[int], schemes: list[str]) -> str:
@@ -124,14 +128,14 @@ def emit_report(
     out_dir: str,
     seeds: list[int],
     schemes: list[str],
-    write_traces: bool = True,
 ) -> list[str]:
-    """Write an experiment's files; a pure function of the reports, so
-    re-emitting produces byte-identical output.
+    """Write an experiment's header and CSV files; a pure function of the
+    reports, so re-emitting produces byte-identical output.
 
     Always writes run_header.txt, summary.csv, exec_order.csv and
-    aggregate.csv (header-only when the report set is empty), plus per-run
-    trace files and, when exactly two schemes are present, ab_summary.csv.
+    aggregate.csv (header-only when the report set is empty), plus, when
+    exactly two schemes are present, ab_summary.csv. The trace files are
+    `run_experiment`'s, written as each run ends.
     """
     os.makedirs(out_dir, exist_ok=True)
     written = []
@@ -151,13 +155,6 @@ def emit_report(
     _write_csv(_path("exec_order.csv"), ["seed", "scheme", "event", "order"], exec_rows)
     _write_csv(_path("aggregate.csv"), ["scheme", "metric", "runs", "mean", "std", "failed"],
                _aggregate_rows(reports, schemes))
-    if write_traces:
-        for rep in reports:
-            if not rep.trace:
-                continue
-            name = f"trace_{rep.scheme}_s{rep.seed}.jsonl"
-            with open(_path(name), "w", encoding="utf-8") as fh:
-                fh.write(trace_to_jsonl(rep.trace))
     if len(schemes) == 2 and reports:
         _write_csv(_path("ab_summary.csv"),
                    ["seed"] + [f"{metric}_{scheme}" for metric in AB_METRICS for scheme in schemes],
@@ -185,24 +182,38 @@ def run_experiment(
 ) -> list[RunReport]:
     """One run per seed per scheme; paired schemes share each seed's world.
 
-    With an output directory, writes summary.csv, exec_order.csv,
-    aggregate.csv, run_header.txt, the per-run trace_<scheme>_s<seed>.jsonl
-    files and, when two schemes run, ab_summary.csv comparing them per seed.
+    With an output directory and write_traces, each successful run's trace
+    goes to trace_<scheme>_s<seed>.jsonl as soon as the run ends, and its
+    report's `trace` names that file; no report keeps the records, so
+    memory does not grow with the number of runs. After the last run, an
+    output directory gets summary.csv, exec_order.csv, aggregate.csv,
+    run_header.txt and, when two schemes run, ab_summary.csv comparing them
+    per seed. A trace file that cannot be written raises its OSError: it is
+    an output failure, not a failed run.
     """
     _check_seeds(seeds)
     schemes = schemes or [config.scheduler]
+    trace_dir = out_dir if write_traces else None
+    if trace_dir is not None:
+        os.makedirs(trace_dir, exist_ok=True)
     reports: list[RunReport | FailedRun] = []
     for seed in seeds:
         for scheme in schemes:
             try:
-                reports.append(run_one(config, seed, scheme))
+                report, records = run_one(config, seed, scheme)
             except Exception as exc:
                 # a failed run aborts only its own seed; the summary keeps
-                # the failure row
-                reports.append(FailedRun(seed, scheme, exc))
+                # the failure row, and the error keeps no frame of the run
+                reports.append(FailedRun(seed, scheme, exc.with_traceback(None)))
+                continue
+            if trace_dir is not None:
+                report.trace = os.path.join(trace_dir, f"trace_{scheme}_s{seed}.jsonl")
+                with open(report.trace, "w", encoding="utf-8") as fh:
+                    fh.write(trace_to_jsonl(records))
+            del records  # they go before the next run starts
+            reports.append(report)
     if out_dir is not None:
-        emit_report(reports, config, out_dir, seeds=seeds, schemes=schemes,
-                    write_traces=write_traces)
+        emit_report(reports, config, out_dir, seeds=seeds, schemes=schemes)
     return reports
 
 
@@ -277,7 +288,7 @@ def throughput_vs_connections(
         if n == 0:
             series.append((0, 0.0))
             continue
-        vals = [run_one(configs[n], seed, scheme).throughput for seed in seeds]
+        vals = [run_one(configs[n], seed, scheme)[0].throughput for seed in seeds]
         series.append((n, sum(vals) / len(vals)))
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

@@ -17,9 +17,8 @@ from helpers import (
     stream_draws,
     transmitters_respect_depletion,
 )
-from mwsnsim import metrics
+from mwsnsim import Simulation, metrics, trace_to_jsonl
 from mwsnsim.config import validate_config
-from mwsnsim.engine import Simulation, trace_to_jsonl
 from mwsnsim.mobility import MobilityClass
 from mwsnsim.energy import BatteryState, battery_factor
 from mwsnsim.scheduler import (

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import transmitters_respect_depletion
-from mwsnsim import metrics, radio
+from mwsnsim import metrics, radio, trace_from_jsonl, trace_to_jsonl
 from mwsnsim.config import load_config, validate_config
 from mwsnsim.engine import (
     BadRange,
@@ -17,8 +17,6 @@ from mwsnsim.engine import (
     RandomStream,
     RandomStreams,
     Simulation,
-    trace_from_jsonl,
-    trace_to_jsonl,
 )
 from mwsnsim.mobility import MobilityField
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from mwsnsim.config import load_config, validate_config
-from mwsnsim.engine import Simulation, trace_to_jsonl
+from mwsnsim import Simulation, trace_to_jsonl
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 

@@ -6,7 +6,7 @@ import os
 import pytest
 
 from helpers import stream_draws
-from mwsnsim import metrics
+from mwsnsim import metrics, trace_from_jsonl
 from mwsnsim.cli import main as cli_main
 from mwsnsim.config import (
     ParseError,
@@ -263,12 +263,37 @@ def test_paired_schemes_share_the_world(tmp_path):
     assert (out / "ab_summary.csv").exists()
     key = lambda rec: (rec["t"], rec["p"], rec["fl"], rec["src"], rec["dst"],
                        rec["sz"], rec["dl"], rec["imp"])
-    worlds = []
-    for rep in reports:
-        worlds.append([key(rec) for rec in rep.trace if rec["k"] == "gen"])
+    traces = [_read_trace(rep.trace) for rep in reports]
+    worlds = [[key(rec) for rec in trace if rec["k"] == "gen"] for trace in traces]
     assert worlds[0] == worlds[1]
-    draws = [stream_draws(rep.trace) for rep in reports]
+    draws = [stream_draws(trace) for trace in traces]
     assert draws[0] == draws[1]
+
+
+def _read_trace(path: str) -> list[dict]:
+    with open(path, "r", encoding="utf-8") as fh:
+        return trace_from_jsonl(fh.read())
+
+
+def test_each_report_names_its_written_trace_file(tmp_path):
+    """Each run's trace file is written as the run ends and holds that run's
+    trace; the report keeps only the file's path."""
+    cfg = _fast_cfg()
+    reports = run_experiment(cfg, [1, 2, 3], ["mdlps", "data"], out_dir=str(tmp_path))
+    assert len(reports) == 6
+    for rep in reports:
+        assert rep.trace == str(tmp_path / f"trace_{rep.scheme}_s{rep.seed}.jsonl")
+        assert os.path.isfile(rep.trace)
+        assert _read_trace(rep.trace) == Simulation(cfg, seed=rep.seed, scheme=rep.scheme).run()
+        assert replay_metric(rep.trace, "throughput") == rep.throughput
+
+
+def test_no_trace_files_without_write_traces(tmp_path):
+    reports = run_experiment(_fast_cfg(), [1, 2, 3], ["mdlps", "data"], out_dir=str(tmp_path),
+                             write_traces=False)
+    assert [rep.trace for rep in reports] == [""] * 6
+    assert not [name for name in os.listdir(tmp_path) if name.startswith("trace_")]
+    assert "summary.csv" in os.listdir(tmp_path)
 
 
 def test_multi_seed_summary_rows(tmp_path):
@@ -338,6 +363,8 @@ def test_failed_run_aborts_only_its_own_seed(tmp_path, monkeypatch):
     out = tmp_path / "flaky"
     reports = run_experiment(_fast_cfg(), [1, 2, 3], ["mdlps"], out_dir=str(out))
     assert len(reports) == 3
+    assert reports[1].trace == "" and reports[0].trace and reports[2].trace
+    assert reports[1].error.__traceback__ is None  # which would keep the run's frames
     rows = (out / "summary.csv").read_text().splitlines()[1:]
     assert len(rows) == 3
     assert "RuntimeError: injected fault" in rows[1]
@@ -689,13 +716,14 @@ def test_cli_sweep_refuses_before_any_run(extra, field, tmp_path, capsys, no_run
     assert not (out / "throughput.csv").exists()
 
 
-@pytest.mark.parametrize("name", ["run_header.txt", "summary.csv"])
+# a trace file is written as its run ends, inside the loop that turns a
+# run's own errors into failed-run rows
+@pytest.mark.parametrize("name", ["run_header.txt", "summary.csv", "trace_mdlps_s1.jsonl"])
 def test_cli_reports_an_unwritable_output_file(name, tmp_path, capsys):
     """A write that fails exits 2 and names the file, whichever file it is."""
     out = tmp_path / "out"
     (out / name).mkdir(parents=True)
-    code = cli_main(["run", "--out", str(out), "--no-traces",
-                     "--config", str(_write_fast_cfg(tmp_path))])
+    code = cli_main(["run", "--out", str(out), "--config", str(_write_fast_cfg(tmp_path))])
     assert code == 2
     assert str(out / name) in capsys.readouterr().err
 
