@@ -8,7 +8,11 @@ the run, its trace hash, one `kind:hash` pair per record kind (the hash of
 that kind's lines alone), then `|` and the run's totals: final deliveries
 (`rx` records with `fin` 1) and drops by cause. Each scenario's resolved
 config, `cfg.to_yaml()` as `run_header.txt` embeds it, is hashed too, on a
-line `config/<name> <hash>` before its runs:
+line `config/<name> <hash>` before its runs. Last, every file that two
+experiments write is hashed, on a line `file/<experiment>/<file> <hash>`:
+`harness.run_experiment` on configs/event_study.yaml, seeds 1-3, both
+schemes, with traces; and `harness.throughput_vs_connections` on
+configs/capacity_sweep.yaml, counts 1-3, seeds 1-2:
 
     python benchmarks/trace_identity.py --src /path/to/src
 
@@ -16,10 +20,11 @@ With --against, the same set is also hashed under a second tree, in a
 separate process running alongside; each run whose hash differs, or that
 only one tree produced, is printed with the record kinds (`hdr`, `tx`,
 `end`, ...) whose lines differ, and the exit status is 1 when there is any
-such run; a scenario whose config hash differs is printed as
-`DIFFERS config/<name>` and also sets the exit status to 1. When any run
-differs, the totals of every scenario and scheme,
-summed over its seeds, are printed for both trees:
+such run; a scenario whose config hash differs, or an output file whose
+hash differs or that only one tree wrote, is printed as `DIFFERS
+config/<name>` or `DIFFERS file/<experiment>/<file>` and also sets the exit
+status to 1. When any run differs, the totals of every scenario and
+scheme, summed over its seeds, are printed for both trees:
 
     python benchmarks/trace_identity.py --against /path/to/parent/src
 """
@@ -31,6 +36,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -130,6 +136,14 @@ RUN_SET = {
     "crit_at_0": (CRIT_AT_0, range(1, 21)),
     "fleet1000": ({"node_count": 1000, "session_duration": 20.0}, range(1, 3)),
 }
+# experiment -> (config file under configs/, a call of the harness that
+# writes the experiment's files into the directory it is given)
+OUTPUT_SET = {
+    "event_study": ("event_study.yaml", lambda harness, cfg, out: harness.run_experiment(
+        cfg, [1, 2, 3], list(SCHEMES), out_dir=out, write_traces=True)),
+    "capacity_sweep": ("capacity_sweep.yaml", lambda harness, cfg, out:
+                       harness.throughput_vs_connections(cfg, [1, 2, 3], [1, 2], out_dir=out)),
+}
 
 
 def _sha256(text: str) -> str:
@@ -147,10 +161,12 @@ def trace_hashes(src: str):
     """Yield (run name, sha256 of its trace, {record kind: sha256 of that
     kind's lines}, totals) for every run, importing mwsnsim from the src
     tree; before a scenario's runs, yield (`config/<name>`, sha256 of its
-    resolved config, {}, no totals)."""
+    resolved config, {}, no totals); after all runs, yield
+    (`file/<experiment>/<file>`, sha256 of the file, {}, no totals) for
+    every file of each experiment."""
     sys.path.insert(0, os.path.abspath(src))
     from mwsnsim.config import load_config, validate_config
-    from mwsnsim import Simulation, trace_to_jsonl
+    from mwsnsim import Simulation, harness, trace_to_jsonl
 
     for name, (source, seeds) in RUN_SET.items():
         cfg = (load_config(os.path.join(CONFIG_DIR, source)) if isinstance(source, str)
@@ -166,17 +182,24 @@ def trace_hashes(src: str):
                 yield (f"{name}/s{seed}/{scheme}", _sha256(text),
                        {k: _sha256("".join(lines)) for k, lines in by_kind.items()},
                        totals(trace))
+    for name, (source, write) in OUTPUT_SET.items():
+        with tempfile.TemporaryDirectory() as out:
+            write(harness, load_config(os.path.join(CONFIG_DIR, source)), out)
+            for file in sorted(os.listdir(out)):
+                with open(os.path.join(out, file), "rb") as fh:
+                    digest = hashlib.sha256(fh.read()).hexdigest()
+                yield f"file/{name}/{file}", digest, {}, Counter()
 
 
-def _is_config(run: str) -> bool:
-    return run.startswith("config/")
+def _is_run(name: str) -> bool:
+    return not name.startswith(("config/", "file/"))
 
 
 def _group_totals(runs: dict) -> dict[str, Counter]:
     """Totals summed per scenario and scheme (`stock/mdlps`) over seeds."""
     out: dict[str, Counter] = {}
     for run, (_, _, counts) in runs.items():
-        if _is_config(run):
+        if not _is_run(run):
             continue
         name, _, scheme = run.split("/")
         out.setdefault(f"{name}/{scheme}", Counter()).update(counts)
@@ -215,18 +238,20 @@ def main() -> int:
         (a, ak, _), (b, bk, _) = ours.get(run, missing), theirs.get(run, missing)
         kinds = ",".join(sorted(k for k in ak.keys() | bk.keys() if ak.get(k) != bk.get(k)))
         print(f"DIFFERS {run}: {a} (--src) {b} (--against)"
-              + ("" if _is_config(run) else f" kinds {kinds}"))
-    runs_differ = [run for run in differ if not _is_config(run)]
+              + (f" kinds {kinds}" if _is_run(run) else ""))
+    runs_differ = [run for run in differ if _is_run(run)]
     if runs_differ:
         ours_totals, theirs_totals = _group_totals(ours), _group_totals(theirs)
         for group in sorted(ours_totals.keys() | theirs_totals.keys()):
             a, b = ours_totals.get(group, Counter()), theirs_totals.get(group, Counter())
             print(f"TOTALS {group} (--against -> --src):",
                   ", ".join(f"{k} {b[k]} -> {a[k]}" for k in sorted(a.keys() | b.keys())))
-    n_src, n_against = (sum(not _is_config(run) for run in side) for side in (ours, theirs))
+    n_src, n_against = (sum(_is_run(run) for run in side) for side in (ours, theirs))
+    files = {run for run in ours.keys() | theirs.keys() if run.startswith("file/")}
     print(f"{n_src} runs under --src, {n_against} under --against, "
-          f"{len(runs_differ)} differ; {len(differ) - len(runs_differ)} of "
-          f"{len(RUN_SET)} configs differ")
+          f"{len(runs_differ)} differ; "
+          f"{sum(run.startswith('config/') for run in differ)} of {len(RUN_SET)} configs "
+          f"differ; {len(files.intersection(differ))} of {len(files)} output files differ")
     return 1 if differ else 0
 
 

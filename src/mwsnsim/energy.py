@@ -18,19 +18,19 @@ class Depleted(Exception):
 
 @dataclass
 class EnergyCosts:
-    tx_power: float = 0.6
-    rx_power: float = 0.3
-    idle_power: float = 0.0
-    link_rate: float = 1e6  # bit/s
+    tx_power: float
+    rx_power: float
+    idle_power: float
+    link_rate: float  # bit/s
 
 
 @dataclass
 class BatteryState:
     level: float
-    initial: float = 50.0
-    hard_threshold: float = 10.0
-    levels_above: int = 3
-    level_penalty: float = 0.25
+    initial: float
+    hard_threshold: float
+    levels_above: int
+    level_penalty: float
 
     @property
     def depleted(self) -> bool:

@@ -36,6 +36,10 @@ class BadRange(Exception):
 
 SETUP, LAST = 0, math.inf  # ranks of simultaneous events; see EventQueue
 
+# importance bands: an event's reports, and emissions from inside a begun
+# event's disc, draw from EVENT_BAND; every other emission from ROUTINE_BAND
+EVENT_BAND, ROUTINE_BAND = (0.8, 1.0), (0.1, 0.5)
+
 
 class EventQueue:
     """Min-heap of events, each a plain (time, rank, seq, handler, payload)
@@ -181,10 +185,7 @@ class Simulation:
             nets = [sched.Network(id=str(n["id"]), bandwidth=float(n["bandwidth"]),
                                   members=tuple(sorted(n["members"]))) for n in raw]
         self.networks = sorted(nets, key=lambda net: net.id)
-        self.net_of = {}
-        for net in self.networks:
-            for node in net.members:
-                self.net_of[node] = net.id
+        self.net_of = {node: net.id for net in self.networks for node in net.members}
 
     def _build_kinematics(self) -> None:
         cfg = self.cfg
@@ -192,9 +193,7 @@ class Simulation:
         placement = self.streams["placement"]
         pos = np.empty((self.n, 2))
         if cfg["node_placement"] is not None:
-            for i, (x, y) in enumerate(cfg["node_placement"]):
-                pos[i, 0] = x
-                pos[i, 1] = y
+            pos[:] = cfg["node_placement"]
         else:
             for i in range(self.n):
                 pos[i, 0] = placement.uniform(0.0, w)
@@ -202,13 +201,9 @@ class Simulation:
         controlled = np.arange(self.n) >= len(self.sensor_ids)
         m = cfg["mobility"]
         self.mob = MobilityField(
-            pos, controlled, (w, h),
-            rngs=self.streams.mobility, patrol_rng=placement,
-            speed_range=(m["speed_min"], m["speed_max"]),
-            pause_time=m["pause_time"],
-            controlled_speed_cap=m["controlled_speed_cap"],
-            patrol_radius=m["patrol_radius"],
-        )
+            pos, controlled, (w, h), rngs=self.streams.mobility, patrol_rng=placement,
+            speed_range=(m["speed_min"], m["speed_max"]), pause_time=m["pause_time"],
+            controlled_speed_cap=m["controlled_speed_cap"], patrol_radius=m["patrol_radius"])
         self.class_thresholds = tuple(m["class_thresholds"])
 
     def _build_radio(self) -> None:
@@ -219,10 +214,8 @@ class Simulation:
 
     def _build_energy(self) -> None:
         e = self.cfg["energy"]
-        self.costs = energy_mod.EnergyCosts(
-            tx_power=e["tx_power"], rx_power=e["rx_power"],
-            idle_power=e["idle_power"], link_rate=e["link_rate"],
-        )
+        self.costs = energy_mod.EnergyCosts(tx_power=e["tx_power"], rx_power=e["rx_power"],
+                                            idle_power=e["idle_power"], link_rate=e["link_rate"])
         self.battery = [
             energy_mod.BatteryState(
                 level=self.cfg["initial_energy"], initial=self.cfg["initial_energy"],
@@ -250,6 +243,7 @@ class Simulation:
                 flows.append(traffic_mod.Flow(
                     id=f"f{i}", src=src, dst=sched.nearest(positions[src], self.bs_ids, positions),
                     interval=cfg["cbr_interval"], start=0.0, stop=cfg.session_duration,
+                    importance_override=None,
                 ))
         else:
             for fl in raw:
@@ -435,7 +429,7 @@ class Simulation:
             contenders, orphans = self._candidates(t)
             if contenders:
                 sched.allocate_slots(contenders, self.grid)
-                self._trace_alloc(t, "startup", -1)
+                self._trace_alloc(t, "startup", -1, bw_only=False)
         # frozen holders keep their positions; on a later frame a position
         # with no live holder is lent for the frame to the best contender
         # holding none (a startup allocation leaves a position open only
@@ -464,12 +458,15 @@ class Simulation:
         if nxt <= self.cfg.session_duration:
             self.queue.schedule(nxt, Simulation._on_frame_boundary)
 
-    def _trace_alloc(self, t: float, why: str, ev_idx: int) -> None:
+    def _trace_alloc(self, t: float, why: str, ev_idx: int, bw_only: bool) -> None:
+        """Append the complete alloc record; bw_only marks networks ranked by
+        bandwidth alone."""
         self.trace.append({
             "k": "alloc", "t": t, "why": why, "ev": ev_idx,
             "a": [[pos[0], pos[1], holder] for pos, holder in self.grid.assignment.items()
                   if holder is not None],
             "n1": dict(sorted(self.n1_map.items())),
+            **({"bw_only": 1} if bw_only else {}),
         })
 
     def _on_slot_transmit(self, t: float, f: int, s: int, node: int) -> None:
@@ -546,7 +543,7 @@ class Simulation:
                 if node == reporter:
                     imp = 1.0
                 elif sched.in_disc(positions[node], (x, y), r):
-                    imp = self.streams["importance"].uniform(0.8, 1.0)
+                    imp = self.streams["importance"].uniform(*EVENT_BAND)
                 else:
                     continue
                 self._generate_packet(
@@ -560,13 +557,10 @@ class Simulation:
         })
         self._rebuild_graph(t)
         self.n1_map, bw_only = sched.network_priority(
-            self.networks, positions, (x, y), r,
-            w_density=self.weights[0], w_bandwidth=self.weights[1])
+            self.networks, positions, (x, y), r, *self.weights)
         self.grid.rearm()
         sched.allocate_slots(self._candidates(t)[0], self.grid)
-        self._trace_alloc(t, "critical", idx)
-        if bw_only:
-            self.trace[-1]["bw_only"] = 1
+        self._trace_alloc(t, "critical", idx, bw_only)
 
     def _generate_packet(self, flow_id: str, src: int, dst: int, t: float,
                          importance: float) -> None:
@@ -592,12 +586,12 @@ class Simulation:
         if fl.importance_override is not None:
             imp = fl.importance_override
         else:
-            band = (0.1, 0.5)
+            band = ROUTINE_BAND
             # the source's position matters only once an event has begun
             if self.active_events:
                 src_xy = self.mob.position_of(fl.src, t)
                 if any(sched.in_disc(src_xy, (x, y), r) for x, y, r in self.active_events):
-                    band = (0.8, 1.0)
+                    band = EVENT_BAND
             imp = self.streams["importance"].uniform(*band)
         self._generate_packet(fl.id, fl.src, fl.dst, t, imp)
         self._schedule_emission(idx, k + 1)

@@ -22,11 +22,13 @@ class ConservationError(Exception):
     """A run's trace does not give each generated packet exactly one fate."""
 
 
+TRACE_CHUNK = 4096  # records per write of a trace file: no run's JSONL is whole in memory
+
 SUMMARY_COLUMNS = [
     "seed", "scheme", "generated", "delivered", "deadline_miss",
     "pdr_within_deadline", "mean_delay_s", "p95_delay_s", "throughput_kbps",
-    "drop_expired", "drop_overflow", "drop_no_route", "drop_gated",
-    "drop_starved", "depleted_nodes", "orphan_frames", "max_queue", "error",
+    *(f"drop_{cause}" for cause in metrics.DROP_CAUSES),
+    "depleted_nodes", "orphan_frames", "max_queue", "error",
 ]
 
 
@@ -65,8 +67,7 @@ class RunReport:
             self.seed, self.scheme, self.generated,
             self.fates["delivered"], self.fates["deadline_miss"],
             _cell(self.pdr), _cell(self.mean_delay), _cell(self.p95_delay), _cell(self.throughput),
-            self.fates["expired"], self.fates["overflow"], self.fates["no_route"],
-            self.fates["gated"], self.fates["starved"],
+            *(self.fates[cause] for cause in metrics.DROP_CAUSES),
             len(self.depleted), self.orphan_frames, self.max_queue, "",
         ]
 
@@ -183,9 +184,10 @@ def run_experiment(
     """One run per seed per scheme; paired schemes share each seed's world.
 
     With an output directory and write_traces, each successful run's trace
-    goes to trace_<scheme>_s<seed>.jsonl as soon as the run ends, and its
-    report's `trace` names that file; no report keeps the records, so
-    memory does not grow with the number of runs. After the last run, an
+    goes to trace_<scheme>_s<seed>.jsonl, TRACE_CHUNK records at a time, as
+    soon as the run ends, and its report's `trace` names that file; no
+    report keeps the records, so memory does not grow with the number of
+    runs. After the last run, an
     output directory gets summary.csv, exec_order.csv, aggregate.csv,
     run_header.txt and, when two schemes run, ab_summary.csv comparing them
     per seed. A trace file that cannot be written raises its OSError: it is
@@ -209,7 +211,8 @@ def run_experiment(
             if trace_dir is not None:
                 report.trace = os.path.join(trace_dir, f"trace_{scheme}_s{seed}.jsonl")
                 with open(report.trace, "w", encoding="utf-8") as fh:
-                    fh.write(trace_to_jsonl(records))
+                    for lo in range(0, len(records), TRACE_CHUNK):
+                        fh.write(trace_to_jsonl(records[lo:lo + TRACE_CHUNK]))
             del records  # they go before the next run starts
             reports.append(report)
     if out_dir is not None:

@@ -93,10 +93,10 @@ class MobilityField:
         terrain: tuple[float, float],
         rngs,
         patrol_rng,
-        speed_range: tuple[float, float] = (1.0, 20.0),
-        pause_time: float = 2.0,
-        controlled_speed_cap: float = 2.0,
-        patrol_radius: float = 200.0,
+        speed_range: tuple[float, float],
+        pause_time: float,
+        controlled_speed_cap: float,
+        patrol_radius: float,
     ):
         self.n = n = len(positions)
         self.terrain = terrain

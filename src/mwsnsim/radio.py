@@ -9,10 +9,10 @@ disk graph): two nodes link when d^2 <= r^2, r = range_for_threshold (kept
 per parameter set as RadioParams.reach), the rule in_disc states once.
 
 As in NS-2, a scenario sets the range and the threshold is derived from it:
-params_for_range takes the configured nominal range alone and keeps the
-other constants at NS-2's WaveLAN defaults, the RadioParams defaults (914
-MHz, 0.28183815 W, unit gains, 1.5 m antennas, no system loss). The
-path-loss law only fixes the reported threshold and r.
+params_for_range takes the configured nominal range alone, and the other
+constants are RadioParams class constants, NS-2's WaveLAN values (914 MHz,
+0.28183815 W, unit gains, 1.5 m antennas, no system loss). The path-loss
+law only fixes the reported threshold and r.
 
 A uniform grid of cells whose side is the reception range yields the
 candidate pairs of the connectivity graph (a fixed-radius near-neighbour
@@ -26,23 +26,24 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
+from typing import ClassVar
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class RadioParams:
-    tx_power: float = 0.28183815
-    tx_gain: float = 1.0
-    rx_gain: float = 1.0
-    antenna_height_tx: float = 1.5
-    antenna_height_rx: float = 1.5
-    system_loss: float = 1.0
-    wavelength: float = 299792458.0 / 914e6  # the speed of light over 914 MHz
-    rx_threshold: float = 3.652e-10
+    tx_power: ClassVar[float] = 0.28183815
+    tx_gain: ClassVar[float] = 1.0
+    rx_gain: ClassVar[float] = 1.0
+    antenna_height_tx: ClassVar[float] = 1.5
+    antenna_height_rx: ClassVar[float] = 1.5
+    system_loss: ClassVar[float] = 1.0
+    wavelength: ClassVar[float] = 299792458.0 / 914e6  # the speed of light over 914 MHz
+    rx_threshold: float
 
     @cached_property
     def reach(self) -> float:
@@ -95,15 +96,15 @@ def range_for_threshold(params: RadioParams) -> float:
 
 
 def params_for_range(nominal_range: float) -> RadioParams:
-    """The default parameters with the reception threshold set so the
-    effective range `reach` is nominal_range, or a float just above it where
-    the law's round trip lands short: a pair at exactly the nominal range
-    always links."""
-    params = RadioParams(rx_threshold=threshold_for_range(RadioParams(), nominal_range))
+    """The parameters whose reception threshold makes the effective range
+    `reach` nominal_range, or a float just above it where the law's round
+    trip lands short: a pair at exactly the nominal range always links."""
+    # the law reads only the class constants, so any threshold serves here
+    params = RadioParams(rx_threshold=threshold_for_range(RadioParams(0.0), nominal_range))
     # a lower threshold only lengthens the range; an infinite one stays, for
     # config to refuse
     while params.reach < nominal_range and math.isfinite(params.rx_threshold):
-        params = replace(params, rx_threshold=math.nextafter(params.rx_threshold, 0.0))
+        params = RadioParams(rx_threshold=math.nextafter(params.rx_threshold, 0.0))
     return params
 
 

@@ -32,9 +32,9 @@ class FrozenGrid(Exception):
 
 @dataclass(frozen=True)
 class FlowParams:
-    desired_pdr: float = 0.9
-    pdr_threshold: float = 0.25
-    deadline_budget: float = 5.0
+    desired_pdr: float
+    pdr_threshold: float
+    deadline_budget: float
 
 
 def compute_ulb(deadline: float, now: float, hops: int) -> float:
@@ -113,8 +113,8 @@ def network_priority(
     positions: dict[int, tuple[float, float]],
     event_xy: tuple[float, float],
     radius: float,
-    w_density: float = 0.7,
-    w_bandwidth: float = 0.3,
+    w_density: float,
+    w_bandwidth: float,
 ) -> tuple[dict[str, int], bool]:
     """Rank networks 1..K (1 best) for a critical event at event_xy.
 

@@ -34,9 +34,9 @@ class Flow:
     src: int
     dst: int
     interval: float
-    start: float = 0.0
-    stop: float = 100.0
-    importance_override: float | None = None
+    start: float
+    stop: float
+    importance_override: float | None
 
 
 class NodeQueue:
@@ -105,7 +105,7 @@ class PdrTracker:
     of deliveries in the window is kept, so reading the ratio is O(1).
     """
 
-    def __init__(self, window: int = 20):
+    def __init__(self, window: int):
         self._outcomes: deque[bool] = deque(maxlen=window)
         self._hits = 0
 

@@ -1,5 +1,7 @@
 """Battery accounting, level quantization, and the priority battery factor."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,22 +22,26 @@ def _state(level, initial=50.0, threshold=10.0, levels=3, penalty=0.25):
                         levels_above=levels, level_penalty=penalty)
 
 
+# the costs the expected values below are worked out from
+COSTS = EnergyCosts(tx_power=0.6, rx_power=0.3, idle_power=0.0, link_rate=1e6)
+
+
 def test_tx_cost_is_power_times_airtime():
     # 0.6 W * (8 * 1000 / 1e6) s = 0.0048 J
     st = _state(50.0)
-    consume_tx(st, EnergyCosts(tx_power=0.6, rx_power=0.3, link_rate=1e6), 1000)
+    consume_tx(st, COSTS, 1000)
     assert st.level == pytest.approx(50.0 - 0.0048, abs=1e-15)
 
 
 def test_zero_bytes_costs_nothing():
     st = _state(50.0)
-    consume_tx(st, EnergyCosts(), 0)
+    consume_tx(st, COSTS, 0)
     assert st.level == 50.0
 
 
 def test_tx_clamps_at_zero():
     st = _state(0.001)
-    consume_tx(st, EnergyCosts(tx_power=0.6, rx_power=0.3, link_rate=1e6), 1000)
+    consume_tx(st, COSTS, 1000)
     assert st.level == 0.0
     assert st.depleted
 
@@ -43,18 +49,18 @@ def test_tx_clamps_at_zero():
 def test_tx_on_depleted_battery_rejected():
     st = _state(0.0)
     with pytest.raises(Depleted):
-        consume_tx(st, EnergyCosts(), 100)
+        consume_tx(st, COSTS, 100)
 
 
 def test_rx_cost_uses_rx_power():
     st = _state(50.0)
-    consume_rx(st, EnergyCosts(tx_power=0.6, rx_power=0.3, link_rate=1e6), 1000)
+    consume_rx(st, COSTS, 1000)
     assert st.level == pytest.approx(50.0 - 0.0024, abs=1e-15)
 
 
 def test_idle_drain_is_power_times_seconds():
     st = _state(50.0)
-    consume_idle(st, EnergyCosts(tx_power=0.6, rx_power=0.3, idle_power=0.05), 10.0)
+    consume_idle(st, replace(COSTS, idle_power=0.05), 10.0)
     assert st.level == pytest.approx(49.5)
 
 

@@ -7,10 +7,12 @@ import weakref
 import numpy as np
 import pytest
 
-from helpers import transmitters_respect_depletion
+from helpers import trace_errors, transmitters_respect_depletion
 from mwsnsim import metrics, radio, trace_from_jsonl, trace_to_jsonl
 from mwsnsim.config import load_config, validate_config
 from mwsnsim.engine import (
+    EVENT_BAND,
+    ROUTINE_BAND,
     BadRange,
     EventQueue,
     PastEvent,
@@ -96,7 +98,7 @@ def test_uniform_is_generator_uniform_bit_for_bit():
     m = cfg["mobility"]
     cap, radius = m["controlled_speed_cap"], m["patrol_radius"]
     ranges = [(0.0, cfg.terrain[0]), (0.0, cfg.terrain[1]), (m["speed_min"], m["speed_max"]),
-              (cap / 2.0, cap), (-radius, radius), (0.8, 1.0), (0.1, 0.5)]
+              (cap / 2.0, cap), (-radius, radius), EVENT_BAND, ROUTINE_BAND]
     ours = RandomStream(5, "importance")
     twin = RandomStream(5, "importance")._gen
     draws = [ranges[k % len(ranges)] for k in range(105_000)]
@@ -380,6 +382,7 @@ def test_runs_complete_when_batteries_drain(name, drained_traces):
     """A node drained mid-slot is dead at once: a second same-instant
     delivery to it, or the frame-boundary idle drain, finds it dead instead
     of charging an empty battery."""
+    cfg = validate_config(_DRAINED_RUNS[name][0])
     depletions = 0
     for seed, scheme, trace in drained_traces[name]:
         where = (seed, scheme)
@@ -387,6 +390,7 @@ def test_runs_complete_when_batteries_drain(name, drained_traces):
         assert metrics.conservation(trace)["ok"], where
         assert metrics.energy_monotone(trace), where
         assert transmitters_respect_depletion(trace), where
+        assert trace_errors(trace, cfg, scheme) == [], where
         depletions += len(metrics.depleted_nodes(trace))
     assert depletions > 0
 
@@ -567,53 +571,6 @@ _PLACEMENT_CONFIGS = {
 }
 
 
-def _frame_placement_errors(trace, cfg, scheme) -> tuple[list[str], int]:
-    """Check every frame record against the placement rule, reading only
-    the trace; returns the violations and the number of lent positions.
-
-    The frozen holders are those of the latest alloc record, and a holder
-    is live until its dep record. Live holders with data are granted their
-    positions (`g`, in scan order). Every other position, in scan order,
-    is lent (`x`) to a distinct spare node until either runs out: a spare
-    node is alive, not a base station, holds data, holds no live
-    position, and under the data scheme with orphans excluded is not an
-    orphan of that frame.
-    """
-    g = cfg["grid"]
-    scan = [(f, s) for f in range(g["frequencies"]) for s in range(g["slots_per_frame"])]
-    first_bs = trace[0]["n"] - cfg["base_stations"]
-    exclude = scheme == "data" and cfg["options"]["orphan_policy"] == "exclude"
-    holder: dict[tuple[int, int], int] = {}
-    dead: set[int] = set()
-    errors, lent = [], 0
-    for rec in trace:
-        if rec["k"] == "alloc":
-            holder = {(f, s): h for f, s, h in rec["a"]}
-        elif rec["k"] == "dep":
-            dead.add(rec["n"])
-        elif rec["k"] == "frame":
-            q, t = rec["q"], rec["t"]
-            live = {pos: h for pos, h in holder.items() if h not in dead}
-            granted = [[f, s, live[(f, s)]] for f, s in scan
-                       if (f, s) in live and q[live[(f, s)]] > 0]
-            open_positions = [pos for pos in scan if pos not in live]
-            orphans = set(rec.get("orph", [])) if exclude else set()
-            spare = {n for n in range(first_bs) if n not in dead and q[n] > 0
-                     and n not in live.values() and n not in orphans}
-            x_nodes = [n for _, _, n in rec["x"]]
-            if rec["g"] != granted:
-                errors.append(f"t={t}: g {rec['g']} != {granted}")
-            if [(f, s) for f, s, _ in rec["x"]] != open_positions[:len(x_nodes)]:
-                errors.append(f"t={t}: x {rec['x']} not the first open positions")
-            if len(x_nodes) != min(len(open_positions), len(spare)):
-                errors.append(f"t={t}: {len(x_nodes)} lent, {len(open_positions)} open, "
-                              f"{len(spare)} spare")
-            if len(set(x_nodes)) != len(x_nodes) or not set(x_nodes) <= spare:
-                errors.append(f"t={t}: x nodes {x_nodes} not distinct spare nodes")
-            lent += len(x_nodes)
-    return errors, lent
-
-
 def test_frames_follow_the_placement_rule():
     lent = 0
     for name, source in _PLACEMENT_CONFIGS.items():
@@ -622,9 +579,9 @@ def test_frames_follow_the_placement_rule():
         for seed in (1, 2, 3):
             for scheme in ("mdlps", "data"):
                 trace = Simulation(cfg, seed=seed, scheme=scheme).run()
-                errors, n_lent = _frame_placement_errors(trace, cfg, scheme)
+                errors = trace_errors(trace, cfg, scheme)
                 assert not errors, (name, seed, scheme, errors[:3])
-                lent += n_lent
+                lent += sum(len(rec["x"]) for rec in trace if rec["k"] == "frame")
     assert lent > 1000
 
 

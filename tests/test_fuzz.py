@@ -12,7 +12,7 @@ the same examples every time.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import transmitters_respect_depletion
+from helpers import trace_errors, transmitters_respect_depletion
 from mwsnsim import Simulation, metrics, validate_config
 from mwsnsim.trace import trace_from_jsonl, trace_to_jsonl
 
@@ -63,57 +63,6 @@ def scenarios(draw) -> dict:
     }
 
 
-def _placement_errors(trace: list[dict], queue_size: int) -> list[str]:
-    """Each allocation, and each frame's granted and lent positions, has
-    every (frequency, slot) position and every holder at most once."""
-    errors = []
-    for rec in trace:
-        if rec["k"] == "alloc":
-            rows = rec["a"]
-        elif rec["k"] == "frame":
-            rows = rec["g"] + rec["x"]
-        else:
-            continue
-        positions = [(f, s) for f, s, _ in rows]
-        holders = [node for _, _, node in rows]
-        if len(set(positions)) < len(positions) or len(set(holders)) < len(holders):
-            errors.append(f"{rec['k']} at t={rec['t']}: {rows}")
-    if metrics.max_queue_length(trace) > queue_size:
-        errors.append(f"a queue held {metrics.max_queue_length(trace)} > {queue_size}")
-    return errors
-
-
-def _delivery_errors(trace: list[dict]) -> list[str]:
-    """Each packet's tx and rx records form a path from its source: every tx
-    is sent by the source or by the node of the packet's previous rx, with
-    h >= 1, and every rx is at the previous tx's v. An rx is final exactly
-    at the packet's dst, where its delay is t - gen.t and ok is
-    t <= gen.dl."""
-    errors = []
-    gen, holder, sent_to = {}, {}, {}
-    for rec in trace:
-        k = rec["k"]
-        if k == "gen":
-            gen[rec["p"]] = rec
-            holder[rec["p"]] = rec["src"]
-        elif k == "tx":
-            p = rec["p"]
-            if rec["u"] != holder[p] or rec["h"] < 1:
-                errors.append(f"tx of {p} by {rec['u']} (h={rec['h']}), held by {holder[p]}")
-            sent_to[p] = rec["v"]
-        elif k == "rx":
-            p, g = rec["p"], gen[rec["p"]]
-            if rec["n"] != sent_to.pop(p, None):
-                errors.append(f"rx of {p} at {rec['n']}, not where it was sent")
-            holder[p] = rec["n"]
-            if rec["fin"] != (rec["n"] == g["dst"]):
-                errors.append(f"rx of {p} at {rec['n']}: fin={rec['fin']}, dst {g['dst']}")
-            elif rec["fin"] and (rec["delay"] != rec["t"] - g["t"]
-                                 or rec["ok"] != (rec["t"] <= g["dl"])):
-                errors.append(f"final rx of {p}: {rec}, generated as {g}")
-    return errors
-
-
 @settings(derandomize=True, max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(scenarios(), st.integers(0, 2**32 - 1))
@@ -125,6 +74,5 @@ def test_random_scenarios_keep_the_trace_invariants(doc, seed):
         assert metrics.conservation(trace)["ok"], scheme
         assert metrics.energy_monotone(trace), scheme
         assert transmitters_respect_depletion(trace), scheme
-        assert _placement_errors(trace, doc["queue_size"]) == [], scheme
-        assert _delivery_errors(trace) == [], scheme
+        assert trace_errors(trace, cfg, scheme) == [], scheme
         assert trace_from_jsonl(trace_to_jsonl(trace)) == trace, scheme

@@ -1,6 +1,8 @@
 """Configuration ingestion, experiment orchestration, metric emission,
 trace replay, and the CLI surface."""
 
+import dataclasses
+import inspect
 import os
 
 import pytest
@@ -15,6 +17,7 @@ from mwsnsim.config import (
     loads_config,
     validate_config,
 )
+from mwsnsim.energy import BatteryState, EnergyCosts
 from mwsnsim.engine import Simulation
 from mwsnsim.harness import (
     ConservationError,
@@ -24,7 +27,10 @@ from mwsnsim.harness import (
     run_header_text,
     throughput_vs_connections,
 )
-from mwsnsim.mobility import make_leg
+from mwsnsim.mobility import MobilityField, make_leg
+from mwsnsim.radio import RadioParams
+from mwsnsim.scheduler import FlowParams, network_priority
+from mwsnsim.traffic import Flow, PdrTracker
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -201,6 +207,20 @@ def test_shipped_configs_load_and_stock_is_the_empty_document():
     for name in sorted(os.listdir(CONFIG_DIR)):
         load_config(os.path.join(CONFIG_DIR, name))
     assert load_config(os.path.join(CONFIG_DIR, "stock.yaml")) == validate_config({})
+
+
+def test_scenario_values_have_no_default_outside_the_config():
+    """config.SCHEMA is the one home of each scenario default: the plane
+    types, and the functions that take scenario values, give none of their
+    own. RadioParams sets the reception threshold alone; NS-2's path-loss
+    constants are its class constants."""
+    assert [f.name for f in dataclasses.fields(RadioParams)] == ["rx_threshold"]
+    for cls in (RadioParams, EnergyCosts, BatteryState, FlowParams, Flow):
+        for f in dataclasses.fields(cls):
+            assert f.default is f.default_factory is dataclasses.MISSING, (cls, f.name)
+    for fn in (PdrTracker, MobilityField, network_priority):
+        for name, param in inspect.signature(fn).parameters.items():
+            assert param.default is inspect.Parameter.empty, (fn, name)
 
 
 def test_malformed_yaml_is_parse_error():

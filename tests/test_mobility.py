@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mwsnsim import _kernels
-from mwsnsim.config import validate_config
+from mwsnsim.config import DEFAULTS, validate_config
 from mwsnsim.engine import RandomStream, Simulation
 from mwsnsim.mobility import (
     MobilityClass,
@@ -49,6 +49,12 @@ def test_paused_node_does_not_move():
 
 
 def _field(n=22, terrain=(2000.0, 2000.0), seed=1, controlled=None, **kw):
+    """A field of n nodes placed at random, with the stock kinematics of
+    config.DEFAULTS where kw sets none."""
+    m = DEFAULTS["mobility"]
+    kinematics = {"speed_range": (m["speed_min"], m["speed_max"]), "pause_time": m["pause_time"],
+                  "controlled_speed_cap": m["controlled_speed_cap"],
+                  "patrol_radius": m["patrol_radius"], **kw}
     rngs = [RandomStream(seed, "mobility", i) for i in range(n)]
     patrol = RandomStream(seed, "placement")
     place = RandomStream(seed + 100, "placement")
@@ -56,7 +62,7 @@ def _field(n=22, terrain=(2000.0, 2000.0), seed=1, controlled=None, **kw):
                     for _ in range(n)])
     if controlled is None:
         controlled = np.zeros(n, dtype=bool)
-    return MobilityField(pos, controlled, terrain, rngs, patrol, **kw)
+    return MobilityField(pos, controlled, terrain, rngs, patrol, **kinematics)
 
 
 def _script_leg(field, i, x, y, wx, wy, speed, t0=0.0):

@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,44 +25,37 @@ from mwsnsim.radio import (
 )
 
 
-def _params(**kw):
-    base = dict(tx_power=1.0, tx_gain=1.0, rx_gain=1.0,
-                antenna_height_tx=1.5, antenna_height_rx=1.5,
-                system_loss=1.0, wavelength=0.328, rx_threshold=0.0)
-    base.update(kw)
-    return RadioParams(**base)
+# NS-2's WaveLAN constants, written out here to evaluate the law independently
+TX_POWER = 0.28183815  # W
+WAVELENGTH = 299792458.0 / 914e6  # m
+
+
+def _params(nominal=None):
+    """Parameters whose threshold is threshold_for_range's at nominal, or no
+    threshold (an infinite range) when nominal is None."""
+    thr = 0.0 if nominal is None else threshold_for_range(RadioParams(0.0), nominal)
+    return RadioParams(rx_threshold=thr)
 
 
 def test_crossover_distance_reference_value():
-    # 4*pi*1.5*1.5/0.328, evaluated independently
-    expected = 4.0 * math.pi * 2.25 / 0.328
+    # 4*pi*1.5*1.5/lambda, evaluated independently
+    expected = 4.0 * math.pi * 2.25 / WAVELENGTH
     assert expected == pytest.approx(86.2, abs=0.05)
     assert crossover_distance(_params()) == pytest.approx(expected, rel=1e-12)
 
 
-def test_crossover_constants_cancel():
-    p = _params(antenna_height_tx=1.0, antenna_height_rx=1.0, wavelength=4.0 * math.pi)
-    assert crossover_distance(p) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_crossover_quadruples_with_doubled_heights():
-    p1 = _params()
-    p2 = _params(antenna_height_tx=3.0, antenna_height_rx=3.0)
-    assert crossover_distance(p2) == pytest.approx(4.0 * crossover_distance(p1), rel=1e-12)
-
-
 def test_ground_reflection_branch_exact_value():
-    # d=200 m is beyond the crossover: 1 * 2.25^2 / 200^4
-    p = _params()
-    assert received_power(p, 200.0) == pytest.approx(3.1640625e-9, rel=1e-12)
+    # d=200 m is beyond the crossover: P_t * 2.25^2 / 200^4
+    expected = TX_POWER * 5.0625 / 1.6e9
+    assert expected == pytest.approx(8.918e-10, rel=1e-3)
+    assert received_power(_params(), 200.0) == pytest.approx(expected, rel=1e-12)
 
 
 def test_free_space_branch_hand_evaluated():
-    # d=10 m is below the crossover: lambda^2 / (4*pi*10)^2
-    p = _params()
-    expected = 0.328 ** 2 / (4.0 * math.pi * 10.0) ** 2
-    assert expected == pytest.approx(6.81e-6, rel=1e-2)
-    assert received_power(p, 10.0) == pytest.approx(expected, rel=1e-12)
+    # d=10 m is below the crossover: P_t * lambda^2 / (4*pi*10)^2
+    expected = TX_POWER * WAVELENGTH ** 2 / (4.0 * math.pi * 10.0) ** 2
+    assert expected == pytest.approx(1.92e-6, rel=1e-2)
+    assert received_power(_params(), 10.0) == pytest.approx(expected, rel=1e-12)
 
 
 def test_branches_agree_at_crossover():
@@ -91,35 +83,31 @@ def test_quartic_and_quadratic_scaling():
 
 
 def test_threshold_for_range_makes_range_effective():
-    p = _params()
-    thr = threshold_for_range(p, 250.0)
-    tuned = _params(rx_threshold=thr)
+    tuned = _params(250.0)
     assert in_range(tuned, (0.0, 0.0), (200.0, 0.0))
     assert not in_range(tuned, (0.0, 0.0), (300.0, 0.0))
 
 
 def test_zero_threshold_always_in_range():
-    p = _params(rx_threshold=0.0)
+    p = _params()
     assert in_range(p, (0.0, 0.0), (1e6, 1e6))
 
 
 def test_colocated_nodes_in_range():
-    thr = threshold_for_range(_params(), 250.0)
-    assert in_range(_params(rx_threshold=thr), (5.0, 5.0), (5.0, 5.0))
+    assert in_range(_params(250.0), (5.0, 5.0), (5.0, 5.0))
 
 
 def test_colocated_nodes_link_at_a_sub_micrometre_range():
     """Co-located nodes are at distance 0, inside every closed disc, however
     small its radius."""
-    p = _params(rx_threshold=threshold_for_range(_params(), 1e-12))
+    p = _params(1e-12)
     assert in_range(p, (5.0, 5.0), (5.0, 5.0))
     g = build_graph([0, 1], np.array([5.0, 5.0]), np.array([5.0, 5.0]), p)
     assert g.has_edge(0, 1)
 
 
 def test_symmetry():
-    thr = threshold_for_range(_params(), 250.0)
-    p = _params(rx_threshold=thr)
+    p = _params(250.0)
     a, b = (10.0, 40.0), (190.0, 170.0)
     assert in_range(p, a, b) == in_range(p, b, a)
 
@@ -136,7 +124,7 @@ def _agrees_with_graph(p, a, b) -> bool:
 def test_in_range_agrees_with_graph_on_a_rounding_pair():
     """A pair 250 m apart up to rounding, where the hypot of math.dist and
     the graph's sqrt(dx*dx + dy*dy) fall on opposite sides of the range."""
-    p = _params(rx_threshold=threshold_for_range(_params(), 250.0))
+    p = _params(250.0)
     assert _agrees_with_graph(p, (1509.5021550594522, 741.0891564079636),
                               (1736.2231661791989, 635.7440895237487))
 
@@ -185,14 +173,13 @@ def test_two_nodes_exactly_at_a_short_round_trip_range_link():
 def test_in_range_agrees_with_graph_at_the_range(nominal, offset, x, y, angle):
     """Pairs placed at the nominal range, or a hair either side of it: the
     slot-time link check and the frame-start graph give the same answer."""
-    p = _params(rx_threshold=threshold_for_range(_params(), nominal))
+    p = _params(nominal)
     d = nominal + offset
     assert _agrees_with_graph(p, (x, y), (x + d * math.cos(angle), y + d * math.sin(angle)))
 
 
 def test_two_nodes_at_half_range_share_an_edge():
-    thr = threshold_for_range(_params(), 250.0)
-    p = _params(rx_threshold=thr)
+    p = _params(250.0)
     g = build_graph([0, 1], np.array([0.0, 125.0]), np.array([0.0, 0.0]), p)
     assert g.has_edge(0, 1) and g.has_edge(1, 0)
     assert g.edges() == [(0, 1)]
@@ -205,7 +192,7 @@ def test_graph_matches_brute_force_all_pairs():
     n = 22
     px = rng.uniform(0, 2000, n)
     py = rng.uniform(0, 2000, n)
-    p = _params(rx_threshold=threshold_for_range(_params(), 420.0))
+    p = _params(420.0)
     r = range_for_threshold(p)
     g = build_graph(list(range(n)), px, py, p)
     for i in range(n):
@@ -217,8 +204,7 @@ def test_graph_matches_brute_force_all_pairs():
 
 
 def test_separated_clusters_are_disconnected_components():
-    thr = threshold_for_range(_params(), 100.0)
-    p = _params(rx_threshold=thr)
+    p = _params(100.0)
     px = np.array([0.0, 10.0, 20.0, 1500.0, 1510.0])
     py = np.zeros(5)
     g = build_graph([0, 1, 2, 3, 4], px, py, p)
@@ -251,8 +237,7 @@ def _layouts(draw):
     py = [draw(coord) for _ in range(n)]
     ids = draw(st.permutations(draw(st.lists(st.integers(0, 10_000), min_size=n, max_size=n,
                                              unique=True))))
-    thr = 0.0 if nominal is None else threshold_for_range(_params(), nominal)
-    return ids, np.array(px, dtype=float), np.array(py, dtype=float), _params(rx_threshold=thr)
+    return ids, np.array(px, dtype=float), np.array(py, dtype=float), _params(nominal)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -287,7 +272,7 @@ def _frames_with_dead_nodes(draw):
     dead = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
     alive = [i for i in range(n) if i not in dead]
     absent = sorted(dead) + [n, n + 1, -1]
-    p = _params(rx_threshold=threshold_for_range(_params(), nominal))
+    p = _params(nominal)
     return alive, px[alive], py[alive], p, absent
 
 
@@ -320,7 +305,7 @@ def test_pairs_at_the_range_are_found_across_cell_boundaries():
     """A pair exactly one range apart is found wherever it sits against the
     cell boundaries, including a hair below one."""
     nominal = 250.0
-    p = _params(rx_threshold=threshold_for_range(_params(), nominal))
+    p = _params(nominal)
     found = 0
     for f in np.linspace(-5e-9, 5e-9, 101):
         a = 3.0 * nominal * (1.0 + f)
@@ -332,14 +317,13 @@ def test_pairs_at_the_range_are_found_across_cell_boundaries():
 
 
 def test_range_for_threshold_without_threshold_is_infinite():
-    assert range_for_threshold(_params(rx_threshold=0.0)) == math.inf
+    assert range_for_threshold(_params()) == math.inf
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(st.one_of(st.floats(1e-3, 1e5), st.sampled_from([86.0, 86.2, 86.3])))
 def test_range_for_threshold_inverts_threshold_for_range(nominal):
-    p = replace(_params(), rx_threshold=threshold_for_range(_params(), nominal))
-    assert range_for_threshold(p) == pytest.approx(nominal, rel=1e-12)
+    assert range_for_threshold(_params(nominal)) == pytest.approx(nominal, rel=1e-12)
 
 
 def test_a_run_computes_its_range_once_per_parameter_set(monkeypatch):

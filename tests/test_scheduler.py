@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import assigned_nodes, rank_candidates
+from mwsnsim.config import DEFAULTS
 from mwsnsim.mobility import MobilityClass
 from mwsnsim.scheduler import (
     Candidate,
@@ -31,6 +32,8 @@ from mwsnsim.scheduler import (
 )
 
 FLOW = FlowParams(desired_pdr=0.9, pdr_threshold=0.25, deadline_budget=5.0)
+# the stock density and bandwidth weights of network ranking
+WEIGHTS = (DEFAULTS["options"]["density_weight"], DEFAULTS["options"]["bandwidth_weight"])
 
 
 # laxity budget -------------------------------------------------------------
@@ -238,7 +241,7 @@ def test_single_network_always_rank_one():
 def test_empty_area_falls_back_to_bandwidth_flagged():
     nets = [Network("a", 1e6, (0,)), Network("b", 3e6, (1,))]
     pos = {0: (500.0, 500.0), 1: (900.0, 900.0)}
-    ranks, flagged = network_priority(nets, pos, (0.0, 0.0), 10.0)
+    ranks, flagged = network_priority(nets, pos, (0.0, 0.0), 10.0, *WEIGHTS)
     assert flagged
     assert ranks == {"b": 1, "a": 2}
 
@@ -246,7 +249,7 @@ def test_empty_area_falls_back_to_bandwidth_flagged():
 def test_score_tie_breaks_by_network_id():
     nets = [Network("beta", 1e6, (0,)), Network("alfa", 1e6, (1,))]
     pos = {0: (0.0, 0.0), 1: (1.0, 0.0)}
-    ranks, _ = network_priority(nets, pos, (0.0, 0.0), 10.0)
+    ranks, _ = network_priority(nets, pos, (0.0, 0.0), 10.0, *WEIGHTS)
     assert ranks == {"alfa": 1, "beta": 2}
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mwsnsim.config import validate_config
+from mwsnsim.config import DEFAULTS, validate_config
 from mwsnsim.engine import Simulation
 from mwsnsim.mobility import make_leg
 from mwsnsim.radio import ConnectivityGraph
@@ -229,12 +229,15 @@ def test_queue_ranks_and_evicts_like_an_arrival_counter(capacity, ops):
 
 # delivery-ratio tracker ------------------------------------------------------
 
+WINDOW = DEFAULTS["flow"]["pdr_window"]
+
+
 def test_tracker_is_one_before_any_outcome():
-    assert PdrTracker().value == 1.0
+    assert PdrTracker(WINDOW).value == 1.0
 
 
 def test_tracker_single_delivery():
-    assert PdrTracker().record(True).value == 1.0
+    assert PdrTracker(WINDOW).record(True).value == 1.0
 
 
 def test_tracker_ratio():
