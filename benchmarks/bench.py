@@ -18,6 +18,13 @@ complete graph, and 1000 nodes at the stock 250 m. Timed like the per-call
 entries; each also records the minor page faults per call, read from
 `getrusage(RUSAGE_SELF).ru_minflt` over a run of calls.
 
+Frame rebuild: `Simulation._rebuild_graph` as a frame boundary runs it,
+positions, graph and hop maps, over the first FRAME_REBUILDS consecutive
+frame boundaries of a fresh simulation of each rebuild scenario (seed 1,
+mdlps), so a graph the engine keeps from one complete frame to the next is
+kept here too. The best and median time per frame over several fresh
+simulations, after one untimed, are reported.
+
 Construction: `Simulation(...)` of the stock scenario over a 36,000 s
 session with no critical event, seed 1, mdlps, built several times, each in
 a fresh subprocess, so its peak RSS is that of the interpreter, numpy and
@@ -88,6 +95,8 @@ REBUILD_SCENARIOS = {
     "fleet_1000": {"node_count": 1000, "cluster_heads": 3, "base_stations": 1},
 }
 REBUILD_AT = 5.0  # seconds into the run
+FRAME_REBUILDS = 40  # consecutive frame boundaries per timed simulation
+FRAME_REPEATS = 7  # fresh simulations per scenario
 FAULT_CALLS = 50
 TERRAIN = 2000.0
 LONG_SESSION = 36000.0  # seconds of the construction entry
@@ -242,6 +251,30 @@ def time_rebuilds(src: str) -> dict:
     return out
 
 
+def time_frame_rebuilds() -> dict:
+    """Per scenario, the time per frame of FRAME_REBUILDS consecutive
+    `_rebuild_graph` calls on fresh simulations; construction is not timed."""
+    from mwsnsim import Simulation, validate_config
+
+    out = {}
+    for name, doc in REBUILD_SCENARIOS.items():
+        cfg = validate_config(doc)
+        frame = cfg["grid"]["frame_length"]
+        times = []
+        for _ in range(FRAME_REPEATS + 1):  # the first one warms up, untimed
+            sim = Simulation(cfg, seed=1, scheme="mdlps")
+            t0 = time.perf_counter()
+            for k in range(FRAME_REBUILDS):
+                sim._rebuild_graph(k * frame)
+            times.append((time.perf_counter() - t0) / FRAME_REBUILDS)
+        times = times[1:]
+        out[name] = {"best_us": 1e6 * min(times), "median_us": 1e6 * statistics.median(times),
+                     "frames": FRAME_REBUILDS, "repeats": FRAME_REPEATS, "nodes": sim.n}
+        print(f"frame rebuild {name}: median {out[name]['median_us']:.1f} us per frame",
+              flush=True)
+    return out
+
+
 def time_serialization() -> dict:
     from mwsnsim import Simulation, load_config, trace_to_jsonl
 
@@ -383,7 +416,8 @@ def main(argv=None) -> int:
         build, bfs = time_calls()
         doc.setdefault("results", {})[args.label] = {
             "runs": time_runs(), "build_graph": build, "hop_distances": bfs,
-            "rebuild": time_rebuilds(args.src), "construct": time_construction(args.src),
+            "rebuild": time_rebuilds(args.src), "frame_rebuild": time_frame_rebuilds(),
+            "construct": time_construction(args.src),
             "memory": measure_memory(args.src), "serialize": time_serialization()}
     doc["machine"] = {"platform": platform.platform(), "machine": platform.machine(),
                       "cpus": os.cpu_count()}

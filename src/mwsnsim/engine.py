@@ -211,6 +211,9 @@ class Simulation:
         self.graph = None
         self.dist_maps: dict[int, dict[int, int]] = {}
         self._graph_stamp: tuple[float, int] | None = None
+        # len(dead) when the graph in hand was built on a frame proven
+        # complete, else None
+        self._complete_for: int | None = None
 
     def _build_energy(self) -> None:
         e = self.cfg["energy"]
@@ -318,15 +321,28 @@ class Simulation:
     def _rebuild_graph(self, t: float) -> None:
         """Graph and hop maps of the alive nodes at t. Positions are a
         function of time and `dead` only grows, so a second call at the same
-        t with as many dead nodes keeps what the first one built."""
-        stamp = (t, len(self.dead))
+        t with as many dead nodes keeps what the first one built.
+
+        A frame whose alive nodes' bounding box passes the disc test is
+        complete: rounding is monotone, so no pair's squared offset exceeds
+        the box's, and build_graph would link every pair. While frames stay
+        proven complete over the same alive set, the graph in hand is the
+        one build_graph would return, so it and its hop maps are kept."""
+        n_dead = len(self.dead)
+        stamp = (t, n_dead)
         if stamp == self._graph_stamp:
             return
         self._graph_stamp = stamp
         alive = self._alive()
         px, py = self.mob.positions_at(t)
-        self.graph = radio_mod.build_graph(
-            alive, px[alive], py[alive], self.radio)
+        if n_dead:
+            px, py = px[alive], py[alive]
+        complete = bool(alive) and bool(radio_mod.offset_in_disc(
+            px.max() - px.min(), py.max() - py.min(), self.radio.reach))
+        if complete and self._complete_for == n_dead:
+            return
+        self._complete_for = n_dead if complete else None
+        self.graph = radio_mod.build_graph(alive, px, py, self.radio)
         self.dist_maps = {dst: traffic_mod.hop_distances(self.graph, dst)
                           for dst in self.route_dsts if dst in self.graph}
 

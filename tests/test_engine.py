@@ -6,9 +6,10 @@ import weakref
 
 import numpy as np
 import pytest
+import yaml
 
 from helpers import trace_errors, transmitters_respect_depletion
-from mwsnsim import metrics, radio, trace_from_jsonl, trace_to_jsonl
+from mwsnsim import metrics, radio, trace_from_jsonl, trace_to_jsonl, traffic
 from mwsnsim.config import load_config, validate_config
 from mwsnsim.engine import (
     EVENT_BAND,
@@ -468,6 +469,61 @@ def test_a_death_at_the_same_instant_rebuilds_the_graph():
     sim.dead.add(5)
     sim._rebuild_graph(1.0)
     assert 5 in first and 5 not in sim.graph
+
+
+# the criterion-5 arena as shipped, where every frame is complete; with
+# batteries that empty, so the alive set shrinks under complete frames until
+# none is alive; and on a 750 m square, where frames go in and out of
+# completeness
+_KEPT_GRAPH_ARENAS = {
+    "capacity": ({}, {"kept"}),
+    "capacity_drained": ({"initial_energy": 0.5,
+                          "energy": {"battery_threshold": 0.1, "idle_power": 0.01}},
+                         {"kept", "death_under_complete", "no_alive"}),
+    "capacity_750m": ({"terrain_area": {"width": 750.0, "height": 750.0}},
+                      {"kept", "complete_then_not"}),
+}
+
+
+@pytest.mark.parametrize("name", list(_KEPT_GRAPH_ARENAS), ids=list(_KEPT_GRAPH_ARENAS))
+def test_a_kept_graph_is_the_graph_a_fresh_build_gives(name, monkeypatch):
+    """At every rebuild the graph and hop maps in hand, kept or built, equal
+    a fresh build_graph and hop_distances over the frame's alive nodes: also
+    at a death under complete frames and when a complete frame is followed
+    by an incomplete one."""
+    overrides, kinds = _KEPT_GRAPH_ARENAS[name]
+    with open(os.path.join(CONFIG_DIR, "capacity_sweep.yaml"), encoding="utf-8") as fh:
+        cfg = validate_config({**yaml.safe_load(fh), "flow_count": 10, **overrides})
+    rebuild = Simulation._rebuild_graph
+    seen = set()
+    last = {}  # the previous frame of the run being checked
+
+    def checked(self, t):
+        before = self.graph
+        rebuild(self, t)
+        alive = self._alive()
+        px, py = self.mob.positions_at(t)
+        fresh = radio.build_graph(alive, px[alive], py[alive], self.radio)
+        assert self.graph.edges() == fresh.edges(), t
+        assert self.dist_maps == {dst: traffic.hop_distances(fresh, dst)
+                                  for dst in self.route_dsts if dst in fresh}, t
+        complete = len(fresh.edges()) == len(alive) * (len(alive) - 1) // 2
+        if self.graph is before:
+            seen.add("kept")
+        if not alive:
+            seen.add("no_alive")
+        elif last.get("complete") and last["sim"] is self:
+            if not complete:
+                seen.add("complete_then_not")
+            elif len(alive) < last["alive"]:
+                seen.add("death_under_complete")
+        last.update(sim=self, complete=complete, alive=len(alive))
+
+    monkeypatch.setattr(Simulation, "_rebuild_graph", checked)
+    for seed in (1, 2, 3):
+        for scheme in ("mdlps", "data"):
+            Simulation(cfg, seed=seed, scheme=scheme).run()
+    assert kinds <= seen, seen
 
 
 def test_packet_in_flight_at_session_end_is_starved():

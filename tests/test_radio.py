@@ -18,6 +18,7 @@ from mwsnsim.radio import (
     build_graph,
     crossover_distance,
     in_range,
+    offset_in_disc,
     params_for_range,
     range_for_threshold,
     received_power,
@@ -314,6 +315,52 @@ def test_pairs_at_the_range_are_found_across_cell_boundaries():
         assert set(g.edges()) == _dense_edges([0, 1, 2], px, np.zeros(3), p), f
         found += g.has_edge(1, 2)
     assert found > 0
+
+
+def _box_in_disc(px, py, p):
+    """The engine's completeness proof: the layout's bounding box passes the
+    disc test at the reception range."""
+    return bool(offset_in_disc(px.max() - px.min(), py.max() - py.min(), p.reach))
+
+
+@st.composite
+def _boxes_at_the_range(draw):
+    """Small layouts whose bounding box spans exactly the range, or one ulp
+    more, on one axis and nothing or a fraction of the range on the other;
+    the remaining nodes lie inside the box."""
+    p = params_for_range(draw(st.sampled_from([31.6, 86.0, 250.0, 800.0, 900.0])))
+    r = p.reach
+    span = draw(st.sampled_from([r, math.nextafter(r, math.inf)]))
+    other = draw(st.sampled_from([0.0, 1e-9, 1e-3, 0.25, 0.5])) * r
+    lo = draw(st.one_of(st.just(0.0), st.integers(0, 8).map(lambda k: k * r / 4),
+                        st.floats(0.0, 2000.0)))
+    lo_other = draw(st.floats(0.0, 2000.0))
+    inside = st.floats(0.0, 1.0)
+    n = draw(st.integers(0, 6))
+    a = np.array([lo, lo + span] + [lo + draw(inside) * span for _ in range(n)])
+    b = np.array([lo_other + draw(inside) * other for _ in range(n + 2)])
+    return (a, b, p) if draw(st.booleans()) else (b, a, p)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_boxes_at_the_range())
+def test_a_box_in_the_disc_proves_every_pair_linked(layout):
+    """Rounding is monotone, so no pair's squared offset exceeds the box's:
+    when the box passes the disc test, build_graph links every pair."""
+    px, py, p = layout
+    if _box_in_disc(px, py, p):
+        n = len(px)
+        assert len(build_graph(list(range(n)), px, py, p).edges()) == n * (n - 1) // 2
+
+
+def test_two_nodes_exactly_the_range_apart_prove_a_complete_frame():
+    """A box whose one axis spans exactly the range, the other nothing, is
+    a pair at the range: the closed disc holds it, on either axis."""
+    for nominal in (31.6, 250.0, 900.0):
+        p = params_for_range(nominal)
+        for px, py in ((np.array([0.0, p.reach]), np.full(2, 7.0)),
+                       (np.full(2, 7.0), np.array([0.0, p.reach]))):
+            assert _box_in_disc(px, py, p) and build_graph([0, 1], px, py, p).has_edge(0, 1)
 
 
 def test_range_for_threshold_without_threshold_is_infinite():
