@@ -58,15 +58,17 @@ Perfbench pairs: with --perfbench PARENT_TREE, the repository's own
 benchmark instead, `perfbench/run.py --workload W --seed S --seconds T
 --trace 0`, run from this repository and from PARENT_TREE (another checkout
 of it), --pairs times per workload of `BENCHMARK.json`, whose `run_seconds`
-is T. Which tree goes first alternates from pair to pair: the parent in
-even pairs, this tree in odd ones. Each run's last JSON line goes into the
---out file under `perfbench`, with per workload and end-to-end metric: both
-sides' median and quartiles, the pairs this tree won and lost, and the
-parent's interquartile range relative to its median. A metric is flagged
-`unresolved` when that relative spread exceeds the metric's `bound` in
-`BENCHMARK.json`, a fraction of the parent's median:
+is T; S is --seed, by default 424242, so a claim can be measured on a seed
+not used while developing the change. Which tree goes first alternates from
+pair to pair: the parent in even pairs, this tree in odd ones. Each run's
+last JSON line goes into the --out file under `perfbench`, with per
+workload and end-to-end metric: both sides' median and quartiles, the pairs
+this tree won and lost, and the parent's interquartile range relative to
+its median. A metric is flagged `unresolved` when that relative spread
+exceeds the metric's `bound` in `BENCHMARK.json`, a fraction of the
+parent's median:
 
-    python benchmarks/bench.py --perfbench /path/to/parent --pairs 10 --out bench.json
+    python benchmarks/bench.py --perfbench /path/to/parent --pairs 10 --seed S --out bench.json
 """
 
 from __future__ import annotations
@@ -325,11 +327,11 @@ def measure_memory(src: str) -> dict:
     return out
 
 
-def perfbench_run(tree: str, workload: str, seconds: float) -> dict:
+def perfbench_run(tree: str, workload: str, seed: int, seconds: float) -> dict:
     """One `perfbench/run.py --trace 0` run in tree: its last JSON line."""
     done = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
-         "--seed", str(PERFBENCH_SEED), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if not lines:
@@ -357,7 +359,7 @@ def summarize_pairs(runs: list[dict], metric: dict) -> dict:
             "unresolved": iqr_rel > metric["bound"]}
 
 
-def compare_perfbench(parent_tree: str, pairs: int) -> dict:
+def compare_perfbench(parent_tree: str, pairs: int, seed: int) -> dict:
     """Alternated perfbench pairs of this tree and parent_tree per workload."""
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
@@ -369,7 +371,7 @@ def compare_perfbench(parent_tree: str, pairs: int) -> dict:
         for pair in range(pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
-                run = perfbench_run(trees[side], workload, seconds)
+                run = perfbench_run(trees[side], workload, seed, seconds)
                 run.update(workload=workload, pair=pair, side=side, first=order[0])
                 done.append(run)
                 print(f"{workload} pair {pair} {side}: correct {run.get('correct')}, "
@@ -383,7 +385,7 @@ def compare_perfbench(parent_tree: str, pairs: int) -> dict:
             summary[workload].update({m["name"]: summarize_pairs(done, m)
                                       for m in spec["end_to_end"]})
         runs += done
-    return {"command": f"python3 perfbench/run.py --workload W --seed {PERFBENCH_SEED} "
+    return {"command": f"python3 perfbench/run.py --workload W --seed {seed} "
                        f"--seconds {seconds:g} --trace 0",
             "order": f"{pairs} pairs per workload; the parent runs first in even pairs, "
                      "this tree in odd ones",
@@ -398,6 +400,8 @@ def main(argv=None) -> int:
     ap.add_argument("--perfbench", metavar="PARENT_TREE",
                     help="run perfbench pairs of this repository against PARENT_TREE instead")
     ap.add_argument("--pairs", type=int, default=10, help="perfbench pairs per workload")
+    ap.add_argument("--seed", type=int, default=PERFBENCH_SEED,
+                    help=f"perfbench seed (default {PERFBENCH_SEED})")
     ap.add_argument("--out", required=True,
                     help="JSON file that the results are merged into")
     args = ap.parse_args(argv)
@@ -411,7 +415,7 @@ def main(argv=None) -> int:
         with open(args.out, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     if args.perfbench is not None:
-        doc["perfbench"] = compare_perfbench(args.perfbench, args.pairs)
+        doc["perfbench"] = compare_perfbench(args.perfbench, args.pairs, args.seed)
     else:
         build, bfs = time_calls()
         doc.setdefault("results", {})[args.label] = {

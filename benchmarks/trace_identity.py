@@ -1,12 +1,14 @@
 """Check that two source trees produce byte-identical traces.
 
 Hashes (sha256) the canonical JSONL trace, `mwsnsim.trace_to_jsonl`, of every
-run of a fixed set: seeds 1-20 x both schemes on seventeen 22-40-node
+run of a fixed set: seeds 1-20 x both schemes on eighteen 22-40-node
 scenarios, plus 1000 nodes at the stock 250 m range for 20 s, seeds 1-2 x both
-schemes. Three of the scenarios are the criterion-5 arena: as shipped, where
-every frame is complete and the engine keeps its graph; with batteries that
-empty, so the alive set shrinks under complete frames; and on a 750 m square,
-where frames go in and out of full connectivity.
+schemes: 724 runs of 19 configs. Four of the scenarios are the criterion-5
+arena: as shipped, where the terrain proves every frame complete and the
+engine keeps its graph; with batteries that empty, so the alive set shrinks
+under complete frames; on a 750 m square, where frames go in and out of full
+connectivity; and on a 636 m square, whose diagonal is under a metre inside
+the range, so the terrain's proof holds at its edge.
 The `mwsnsim` package is imported from --src. One line per run is printed:
 the run, its trace hash, one `kind:hash` pair per record kind (the hash of
 that kind's lines alone), then `|` and the run's totals: final deliveries
@@ -69,6 +71,9 @@ CAPACITY_DRAINED = {**CAPACITY_ARENA, "initial_energy": 0.5,
                     "energy": {"battery_threshold": 0.1, "idle_power": 0.01}}
 # that arena on a 750 m square: frames go in and out of full connectivity
 CAPACITY_750M = {**CAPACITY_ARENA, "terrain_area": {"width": 750.0, "height": 750.0}}
+# that arena on a 636 m square, whose 899.4 m diagonal is under a metre
+# inside the range: the run-level proof of full connectivity just holds
+CAPACITY_EDGE = {**CAPACITY_ARENA, "terrain_area": {"width": 636.0, "height": 636.0}}
 # several sinks to choose the nearest from, and event discs of non-round radii
 FOUR_SINKS = {
     "node_count": 40, "base_stations": 4, "session_duration": 40.0,
@@ -128,6 +133,7 @@ RUN_SET = {
     "capacity_arena": (CAPACITY_ARENA, range(1, 21)),
     "capacity_drained": (CAPACITY_DRAINED, range(1, 21)),
     "capacity_750m": (CAPACITY_750M, range(1, 21)),
+    "capacity_edge": (CAPACITY_EDGE, range(1, 21)),
     "orphans_excluded": ({"options": {"orphan_policy": "exclude"}}, range(1, 21)),
     "hard_gate_400m": ({"options": {"gate_mode": "drop"},
                         "radio": {"nominal_range": 400.0}}, range(1, 21)),

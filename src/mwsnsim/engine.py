@@ -40,6 +40,38 @@ SETUP, LAST = 0, math.inf  # ranks of simultaneous events; see EventQueue
 # event's disc, draw from EVENT_BAND; every other emission from ROUTINE_BAND
 EVENT_BAND, ROUTINE_BAND = (0.8, 1.0), (0.1, 0.5)
 
+# the factor on the terrain's sides that covers the rounding of node
+# positions; see terrain_links_every_pair
+TERRAIN_SLACK = 1.0 + 2.0 ** -40
+
+
+def terrain_links_every_pair(terrain: tuple[float, float], reach: float) -> bool:
+    """True when any two nodes of a run on this terrain are linked at every
+    instant: the disc test, radio.offset_in_disc at `reach`, passes for the
+    terrain's extents times TERRAIN_SLACK.
+
+    Every coordinate a run gives a node lies in [0, w] x [0, h] up to
+    rounding. Start points are drawn as w * u with u in [0, 1), or are the
+    node_placement that config checks to be inside; waypoints are drawn the
+    same way and patrol points are clamped to the terrain, and a leg starts
+    at a start point or at the waypoint its predecessor reached. A position
+    is x0 + (wx - x0) * f with x0 and wx in [0, w] and f in [0, 1]. Rounding
+    is monotone, so the rounded product lies between 0 and the rounded
+    difference d, and the position between x0 and the rounded x0 + d. With
+    u = 2**-53 the unit roundoff, d is within u * w of wx - x0 and the sum
+    rounds with relative error at most u, so that end is within
+    (2u + u**2) * w of wx: every coordinate lies within 3u * w of [0, w],
+    and two nodes' x differ by at most w * (1 + 6u). The difference that
+    build_graph and radio.in_range compute is then, by monotone rounding,
+    at most the rounded w * TERRAIN_SLACK, whose slack 2**-40 = 2**13 u is
+    over 2**10 times the 6u needed; likewise y. Squaring and adding round
+    monotonically too, so no pair's squared offset exceeds the one tested
+    here. The slack errs conservative: a terrain whose extents meet the
+    range exactly does not pass.
+    """
+    w, h = terrain
+    return bool(radio_mod.offset_in_disc(w * TERRAIN_SLACK, h * TERRAIN_SLACK, reach))
+
 
 class EventQueue:
     """Min-heap of events, each a plain (time, rank, seq, handler, payload)
@@ -208,6 +240,9 @@ class Simulation:
 
     def _build_radio(self) -> None:
         self.radio = radio_mod.params_for_range(self.cfg["radio"]["nominal_range"])
+        # when set, every pair is linked at every instant: the graph changes
+        # only when a node dies, and no transmission needs its link tested
+        self.arena_complete = terrain_links_every_pair(self.cfg.terrain, self.radio.reach)
         self.graph = None
         self.dist_maps: dict[int, dict[int, int]] = {}
         self._graph_stamp: tuple[float, int] | None = None
@@ -327,8 +362,13 @@ class Simulation:
         complete: rounding is monotone, so no pair's squared offset exceeds
         the box's, and build_graph would link every pair. While frames stay
         proven complete over the same alive set, the graph in hand is the
-        one build_graph would return, so it and its hop maps are kept."""
+        one build_graph would return, so it and its hop maps are kept. In an
+        arena proven complete once for the run (`arena_complete`) every
+        frame is, so the graph is kept until a node dies, with no positions
+        asked for and no box tested."""
         n_dead = len(self.dead)
+        if self.arena_complete and self._complete_for == n_dead:
+            return
         stamp = (t, n_dead)
         if stamp == self._graph_stamp:
             return
@@ -337,8 +377,8 @@ class Simulation:
         px, py = self.mob.positions_at(t)
         if n_dead:
             px, py = px[alive], py[alive]
-        complete = bool(alive) and bool(radio_mod.offset_in_disc(
-            px.max() - px.min(), py.max() - py.min(), self.radio.reach))
+        complete = self.arena_complete or (bool(alive) and bool(radio_mod.offset_in_disc(
+            px.max() - px.min(), py.max() - py.min(), self.radio.reach)))
         if complete and self._complete_for == n_dead:
             return
         self._complete_for = n_dead if complete else None
@@ -491,8 +531,8 @@ class Simulation:
         q = self.queues[node]
         for p in q.purge_expired(t):
             self._drop(p, node, t, "expired")
-        key_fn = self._key_fn(node, t)
-        for p in q.sorted_items(key_fn):
+        # keys only order the queue, so a lone packet needs none
+        for p in q.sorted_items(self._key_fn(node, t)) if len(q) > 1 else list(q):
             dmap = self.dist_maps.get(p.dst, {})
             hop = traffic_mod.next_hop(self.graph, dmap, node)
             if hop is None:
@@ -501,8 +541,8 @@ class Simulation:
                     q.remove(p)
                     self._drop(p, node, t, "no_route")
                 continue
-            if not radio_mod.in_range(self.radio, self.mob.position_of(node, t),
-                                      self.mob.position_of(hop, t)):
+            if not self.arena_complete and not radio_mod.in_range(
+                    self.radio, self.mob.position_of(node, t), self.mob.position_of(hop, t)):
                 # edge vanished since the frame-start grant: one retry, then drop
                 p.retries += 1
                 if p.retries > 1:

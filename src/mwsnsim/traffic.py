@@ -91,10 +91,12 @@ class NodeQueue:
         self._items.remove(packet)
 
     def purge_expired(self, now: float) -> list[Packet]:
-        """Remove and return all packets whose deadline has passed (laxity 0)."""
-        expired = [p for p in self._items if now >= p.deadline]
-        for p in expired:
-            self._items.remove(p)
+        """Remove and return all packets whose deadline has passed (laxity
+        0), in arrival order; one pass keeps the rest."""
+        items = self._items
+        expired = [p for p in items if now >= p.deadline]
+        if expired:
+            self._items = [p for p in items if now < p.deadline]
         return expired
 
 

@@ -14,12 +14,14 @@ from mwsnsim.config import load_config, validate_config
 from mwsnsim.engine import (
     EVENT_BAND,
     ROUTINE_BAND,
+    TERRAIN_SLACK,
     BadRange,
     EventQueue,
     PastEvent,
     RandomStream,
     RandomStreams,
     Simulation,
+    terrain_links_every_pair,
 )
 from mwsnsim.mobility import MobilityField
 
@@ -524,6 +526,73 @@ def test_a_kept_graph_is_the_graph_a_fresh_build_gives(name, monkeypatch):
         for scheme in ("mdlps", "data"):
             Simulation(cfg, seed=seed, scheme=scheme).run()
     assert kinds <= seen, seen
+
+
+def test_the_criterion_5_arena_is_proven_complete_for_the_run():
+    """The 600 m square's 848.5 m diagonal is inside the 900 m range, and
+    the 636 m square's 899.4 m one just is; a 750 m square is not."""
+    reach = radio.params_for_range(900.0).reach
+    assert terrain_links_every_pair((600.0, 600.0), reach)
+    assert terrain_links_every_pair((636.0, 636.0), reach)
+    assert not terrain_links_every_pair((750.0, 750.0), reach)
+
+
+def test_a_terrain_that_meets_the_range_exactly_is_not_proven_complete():
+    """540^2 + 720^2 = 900^2 exactly: the slack errs conservative and
+    refuses it, but a terrain smaller by a relative 2^-30 passes."""
+    assert not terrain_links_every_pair((540.0, 720.0), 900.0)
+    assert not terrain_links_every_pair((900.0, 0.0), 900.0)
+    shrink = 1.0 - 2.0 ** -30
+    assert TERRAIN_SLACK * shrink < 1.0
+    assert terrain_links_every_pair((540.0 * shrink, 720.0 * shrink), 900.0)
+    assert not Simulation(validate_config({"terrain_area": {"width": 540.0, "height": 720.0},
+                                           "radio": {"nominal_range": 900.0}}),
+                          seed=1).arena_complete
+
+
+@pytest.mark.parametrize("name", ["capacity", "capacity_drained"])
+def test_a_run_proven_complete_traces_as_frames_proven_one_by_one(name, monkeypatch):
+    """On the criterion-5 arena, as shipped and with batteries that empty,
+    the trace with the run-level proof equals the trace with it forced off,
+    where each frame is proven on its own and each transmission tests its
+    link. With the proof on, no link is tested and the fleet is located
+    only to build a graph and at construction (the arena has no critical
+    event)."""
+    overrides, _ = _KEPT_GRAPH_ARENAS[name]
+    with open(os.path.join(CONFIG_DIR, "capacity_sweep.yaml"), encoding="utf-8") as fh:
+        cfg = validate_config({**yaml.safe_load(fh), "flow_count": 10, **overrides})
+    calls = {"in_range": 0, "positions_at": 0, "build_graph": 0}
+
+    def counted(owner, attr):
+        fn = getattr(owner, attr)
+
+        def wrapper(*args):
+            calls[attr] += 1
+            return fn(*args)
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    counted(radio, "in_range")
+    counted(radio, "build_graph")
+    counted(MobilityField, "positions_at")
+    proven, builds = {}, 0
+    for seed in (1, 2, 3):
+        for scheme in ("mdlps", "data"):
+            calls.update(dict.fromkeys(calls, 0))
+            sim = Simulation(cfg, seed=seed, scheme=scheme)
+            assert sim.arena_complete
+            proven[seed, scheme] = sim.run()
+            assert calls["in_range"] == 0, (seed, scheme)
+            assert calls["positions_at"] == calls["build_graph"] + 1, (seed, scheme)
+            builds = max(builds, calls["build_graph"])
+    monkeypatch.setattr("mwsnsim.engine.terrain_links_every_pair", lambda terrain, reach: False)
+    for (seed, scheme), trace in proven.items():
+        calls.update(dict.fromkeys(calls, 0))
+        sim = Simulation(cfg, seed=seed, scheme=scheme)
+        assert not sim.arena_complete
+        assert sim.run() == trace, (seed, scheme)
+        assert calls["in_range"] > 0 and calls["positions_at"] > calls["build_graph"]
+    if name == "capacity_drained":
+        assert builds > 1  # deaths rebuilt the graph under the proof
 
 
 def test_packet_in_flight_at_session_end_is_starved():

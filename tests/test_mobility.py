@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from mwsnsim import _kernels
 from mwsnsim.config import DEFAULTS, validate_config
-from mwsnsim.engine import RandomStream, Simulation
+from mwsnsim.engine import TERRAIN_SLACK, RandomStream, Simulation
 from mwsnsim.mobility import (
     MobilityClass,
     Leg,
@@ -239,6 +239,36 @@ def test_positions_are_a_function_of_time(pause_time, plan):
     fresh.tick(horizon)
     assert [r.draws for r in queried.rngs] == [r.draws for r in fresh.rngs]
     assert np.array_equal(queried.legs, fresh.legs)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from([1e-3, 0.7, 37.5, 600.0, 1.0e4, 3.0e6]),
+       st.sampled_from([1.0, 0.3, 2.5]), st.sampled_from([0.0, 0.3, 2.0]),
+       st.sampled_from([0.0, 0.4, 1.0]), st.integers(1, 1000),
+       st.lists(st.floats(0.0, 20.0), min_size=1, max_size=12))
+def test_positions_stay_in_the_terrain_widened_by_the_slack(side, aspect, pause_time,
+                                                            patrol, seed, times):
+    """The premise of engine.terrain_links_every_pair: on tiny and large
+    terrains, with no pause and patrol loops as wide as the terrain, every
+    coordinate positions_at and position_of give lies in [0, w] widened on
+    each side by half the slack, so two coordinates differ by at most
+    w * TERRAIN_SLACK."""
+    w, h = side, side * aspect
+    cfg = validate_config({
+        "node_count": 12, "cluster_heads": 3, "base_stations": 2, "flow_count": 2,
+        "session_duration": 20.0,
+        "terrain_area": {"width": w, "height": h},
+        "mobility": {"speed_min": 0.05 * side, "speed_max": 0.5 * side,
+                     "controlled_speed_cap": 0.1 * side, "pause_time": pause_time,
+                     "patrol_radius": patrol * max(w, h)}})
+    field = Simulation(cfg, seed=seed).mob
+    margin = (TERRAIN_SLACK - 1.0) / 2.0
+    for t in sorted(times):
+        px, py = field.positions_at(t)
+        xy = np.array([px, py, *zip(*(field.position_of(i, t) for i in range(12)))])
+        for coords, extent in ((xy[0::2], w), (xy[1::2], h)):
+            assert np.all(coords >= -margin * extent), (t, coords.min())
+            assert np.all(coords <= extent + margin * extent), (t, coords.max())
 
 
 def test_classify_below_first_threshold():
