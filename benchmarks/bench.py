@@ -21,9 +21,10 @@ entries; each also records the minor page faults per call, read from
 Frame rebuild: `Simulation._rebuild_graph` as a frame boundary runs it,
 positions, graph and hop maps, over the first FRAME_REBUILDS consecutive
 frame boundaries of a fresh simulation of each rebuild scenario (seed 1,
-mdlps), so a graph the engine keeps from one complete frame to the next is
-kept here too. The best and median time per frame over several fresh
-simulations, after one untimed, are reported.
+mdlps). The capacity sweep's terrain is proven complete for the run, so
+there the engine, and this entry, build one graph and keep it; the other
+two scenarios build at every frame. The best and median time per frame
+over several fresh simulations, after one untimed, are reported.
 
 Construction: `Simulation(...)` of the stock scenario over a 36,000 s
 session with no critical event, seed 1, mdlps, built several times, each in

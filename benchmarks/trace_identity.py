@@ -6,7 +6,8 @@ scenarios, plus 1000 nodes at the stock 250 m range for 20 s, seeds 1-2 x both
 schemes: 724 runs of 19 configs. Four of the scenarios are the criterion-5
 arena: as shipped, where the terrain proves every frame complete and the
 engine keeps its graph; with batteries that empty, so the alive set shrinks
-under complete frames; on a 750 m square, where frames go in and out of full
+under complete frames; on a 750 m square, which the terrain's proof refuses,
+so every frame builds its graph while frames go in and out of full
 connectivity; and on a 636 m square, whose diagonal is under a metre inside
 the range, so the terrain's proof holds at its edge.
 The `mwsnsim` package is imported from --src. One line per run is printed:
@@ -69,7 +70,8 @@ CAPACITY_ARENA = {
 # stay complete, until no node is alive
 CAPACITY_DRAINED = {**CAPACITY_ARENA, "initial_energy": 0.5,
                     "energy": {"battery_threshold": 0.1, "idle_power": 0.01}}
-# that arena on a 750 m square: frames go in and out of full connectivity
+# that arena on a 750 m square: the run-level proof fails, so every frame
+# builds, while frames go in and out of full connectivity
 CAPACITY_750M = {**CAPACITY_ARENA, "terrain_area": {"width": 750.0, "height": 750.0}}
 # that arena on a 636 m square, whose 899.4 m diagonal is under a metre
 # inside the range: the run-level proof of full connectivity just holds

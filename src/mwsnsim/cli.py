@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .config import load_config, validate_config
@@ -91,6 +92,8 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{n}\t{v:.3f} kbit/s")
         elif args.command == "replay":
             value = replay_metric(args.trace, args.metric)
+            if isinstance(value, float) and math.isnan(value):
+                value = None  # a delay over no final delivery: JSON has no NaN
             print(json.dumps(value, sort_keys=True, default=str))
     except Exception as exc:  # named error + nonzero exit, per the CLI contract
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

@@ -245,10 +245,7 @@ class Simulation:
         self.arena_complete = terrain_links_every_pair(self.cfg.terrain, self.radio.reach)
         self.graph = None
         self.dist_maps: dict[int, dict[int, int]] = {}
-        self._graph_stamp: tuple[float, int] | None = None
-        # len(dead) when the graph in hand was built on a frame proven
-        # complete, else None
-        self._complete_for: int | None = None
+        self._graph_stamp: tuple[float | None, int] | None = None
 
     def _build_energy(self) -> None:
         e = self.cfg["energy"]
@@ -354,22 +351,15 @@ class Simulation:
             self.trace.append({"k": "dep", "t": t, "n": node})
 
     def _rebuild_graph(self, t: float) -> None:
-        """Graph and hop maps of the alive nodes at t. Positions are a
-        function of time and `dead` only grows, so a second call at the same
-        t with as many dead nodes keeps what the first one built.
-
-        A frame whose alive nodes' bounding box passes the disc test is
-        complete: rounding is monotone, so no pair's squared offset exceeds
-        the box's, and build_graph would link every pair. While frames stay
-        proven complete over the same alive set, the graph in hand is the
-        one build_graph would return, so it and its hop maps are kept. In an
-        arena proven complete once for the run (`arena_complete`) every
-        frame is, so the graph is kept until a node dies, with no positions
-        asked for and no box tested."""
+        """Graph and hop maps of the alive nodes at t, built anew only when
+        the stamp (t, len(dead)) changes. Positions are a function of time
+        and `dead` only grows, so a second call at the same t with as many
+        dead nodes keeps what the first one built. In an arena proven
+        complete for the run (`arena_complete`) every pair is linked at
+        every instant, so the stamp drops t and the graph is kept, with no
+        positions asked for, until a node dies."""
         n_dead = len(self.dead)
-        if self.arena_complete and self._complete_for == n_dead:
-            return
-        stamp = (t, n_dead)
+        stamp = (None if self.arena_complete else t, n_dead)
         if stamp == self._graph_stamp:
             return
         self._graph_stamp = stamp
@@ -377,11 +367,6 @@ class Simulation:
         px, py = self.mob.positions_at(t)
         if n_dead:
             px, py = px[alive], py[alive]
-        complete = self.arena_complete or (bool(alive) and bool(radio_mod.offset_in_disc(
-            px.max() - px.min(), py.max() - py.min(), self.radio.reach)))
-        if complete and self._complete_for == n_dead:
-            return
-        self._complete_for = n_dead if complete else None
         self.graph = radio_mod.build_graph(alive, px, py, self.radio)
         self.dist_maps = {dst: traffic_mod.hop_distances(self.graph, dst)
                           for dst in self.route_dsts if dst in self.graph}

@@ -57,10 +57,7 @@ class RunReport:
         self.depleted = metrics.depleted_nodes(records)
         self.orphan_frames = metrics.orphan_frame_count(records)
         self.max_queue = metrics.max_queue_length(records)
-        self.exec_orders = {
-            rec["ev"]: metrics.execution_order(records, rec["ev"])
-            for rec in metrics.critical_events(records)
-        }
+        self.exec_orders = metrics.execution_orders(records)
 
     def row(self) -> list:
         return [

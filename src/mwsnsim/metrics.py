@@ -121,6 +121,12 @@ def execution_order(trace: list[dict], event_index: int) -> list[int]:
     return order
 
 
+def execution_orders(trace: list[dict]) -> dict[int, list[int]]:
+    """execution_order of every critical event in the trace, by event
+    index; empty for a trace without one."""
+    return {rec["ev"]: execution_order(trace, rec["ev"]) for rec in critical_events(trace)}
+
+
 def max_queue_length(trace: list[dict]) -> int:
     longest = 0
     for rec in trace:
@@ -174,7 +180,7 @@ METRIC_FUNCTIONS = {
     "drops": lambda trace: {c: n for c, n in conservation(trace)["fates"].items()
                             if c in DROP_CAUSES},
     "max_queue": max_queue_length,
-    "exec_order": lambda trace: execution_order(trace, 0),
+    "exec_order": execution_orders,
     "energy": energy_series,
     "energy_monotone": energy_monotone,
     "depleted": depleted_nodes,

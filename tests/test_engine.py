@@ -427,13 +427,17 @@ def test_node_drained_at_a_boundary_routes_nothing_that_frame(drained_traces):
 
 @pytest.mark.parametrize("overrides, boundary_deaths",
                          [({"session_duration": 12.0}, False),
+                          ({"session_duration": 12.0,
+                            "terrain_area": {"width": 200.0, "height": 200.0}}, False),
                           ({**DRAINED_IDLE, "session_duration": 40.0}, True)],
-                         ids=["stock", "drained_idle"])
+                         ids=["stock", "stock_200m", "drained_idle"])
 def test_one_graph_build_per_instant_and_dead_count(overrides, boundary_deaths, monkeypatch):
     """The stock event at t = 10 s falls on a frame boundary, and both
     rebuild at that instant with the same alive set: the second keeps the
     first graph and hop maps. The trace equals that of a run which builds
-    at every call, also when the idle charge kills nodes at boundaries."""
+    at every call, also when the idle charge kills nodes at boundaries.
+    On a 200 m square, which the run-level proof refuses for the 250 m
+    range though its frames may all be complete, every frame builds."""
     cfg = validate_config(overrides)
     builds = []
     build = radio.build_graph
@@ -476,14 +480,14 @@ def test_a_death_at_the_same_instant_rebuilds_the_graph():
 # the criterion-5 arena as shipped, where every frame is complete; with
 # batteries that empty, so the alive set shrinks under complete frames until
 # none is alive; and on a 750 m square, where frames go in and out of
-# completeness
+# completeness and, the run-level proof refusing it, every frame builds
 _KEPT_GRAPH_ARENAS = {
     "capacity": ({}, {"kept"}),
     "capacity_drained": ({"initial_energy": 0.5,
                           "energy": {"battery_threshold": 0.1, "idle_power": 0.01}},
                          {"kept", "death_under_complete", "no_alive"}),
     "capacity_750m": ({"terrain_area": {"width": 750.0, "height": 750.0}},
-                      {"kept", "complete_then_not"}),
+                      {"complete_then_not"}),
 }
 
 
@@ -554,7 +558,7 @@ def test_a_terrain_that_meets_the_range_exactly_is_not_proven_complete():
 def test_a_run_proven_complete_traces_as_frames_proven_one_by_one(name, monkeypatch):
     """On the criterion-5 arena, as shipped and with batteries that empty,
     the trace with the run-level proof equals the trace with it forced off,
-    where each frame is proven on its own and each transmission tests its
+    where each frame builds its graph and each transmission tests its
     link. With the proof on, no link is tested and the fleet is located
     only to build a graph and at construction (the arena has no critical
     event)."""

@@ -3,6 +3,7 @@ trace replay, and the CLI surface."""
 
 import dataclasses
 import inspect
+import json
 import os
 
 import pytest
@@ -561,18 +562,46 @@ def test_missing_event_raises():
 
 # replay ---------------------------------------------------------------------------
 
+# a trace with two critical events and a node that depletes; one with no
+# event and an orphan sensor every frame
+_REPLAY_SCENARIOS = {
+    "two_events": _fast_cfg(
+        critical_events=[{"time": 4.0, "x": 200.0, "y": 200.0, "radius": 150.0},
+                         {"time": 6.0, "x": 100.0, "y": 100.0, "radius": 150.0}],
+        initial_energy=0.2, energy={"battery_threshold": 0.01, "idle_power": 0.01}),
+    "no_event": validate_config({
+        "node_count": 4, "cluster_heads": 1, "base_stations": 1,
+        "terrain_area": {"width": 2000.0, "height": 100.0}, "session_duration": 4.0,
+        "node_placement": [[0.0, 50.0], [1900.0, 50.0], [100.0, 50.0], [50.0, 50.0]],
+        "radio": {"nominal_range": 300.0}, "critical_events": [],
+        "flows": [{"id": "f0", "src": 0, "dst": 3, "interval": 0.5},
+                  {"id": "f1", "src": 1, "dst": 3, "interval": 0.5}]}),
+}
+
+
 def test_replay_reproduces_in_run_metrics(tmp_path):
-    cfg = _fast_cfg()
-    out = tmp_path / "replay"
-    reports = run_experiment(cfg, [2], ["data"], out_dir=str(out))
-    rep = reports[0]
-    path = str(out / "trace_data_s2.jsonl")
-    assert replay_metric(path, "overall_pdr") == rep.pdr
-    assert replay_metric(path, "throughput") == rep.throughput
-    cons = replay_metric(path, "conservation")
-    assert cons["ok"] and cons["generated"] == rep.generated
-    drops = replay_metric(path, "drops")
-    assert drops["no_route"] == rep.fates["no_route"]
+    """Every metric a RunReport keeps is the value replay recomputes from
+    the run's trace file, exec_order included for all events or none."""
+    seen = {}
+    for name, cfg in _REPLAY_SCENARIOS.items():
+        out = tmp_path / name
+        rep = run_experiment(cfg, [2], ["data"], out_dir=str(out))[0]
+        path = str(out / "trace_data_s2.jsonl")
+        assert replay_metric(path, "overall_pdr") == rep.pdr
+        assert replay_metric(path, "throughput") == rep.throughput
+        cons = replay_metric(path, "conservation")
+        assert cons["ok"] and cons["generated"] == rep.generated
+        assert replay_metric(path, "drops") == {c: rep.fates[c] for c in metrics.DROP_CAUSES}
+        assert replay_metric(path, "mean_delay") == rep.mean_delay
+        assert replay_metric(path, "p95_delay") == rep.p95_delay
+        assert replay_metric(path, "max_queue") == rep.max_queue
+        assert replay_metric(path, "depleted") == rep.depleted
+        assert replay_metric(path, "orphans") == rep.orphan_frames
+        assert replay_metric(path, "exec_order") == rep.exec_orders
+        seen[name] = rep
+    two, none = seen["two_events"], seen["no_event"]
+    assert sorted(two.exec_orders) == [0, 1] and all(two.exec_orders.values())
+    assert two.depleted and none.exec_orders == {} and none.orphan_frames > 0
 
 
 def test_replay_unknown_metric():
@@ -670,12 +699,26 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
 
 
 def test_cli_replay(tmp_path, capsys):
-    out = tmp_path / "out"
-    run_experiment(_fast_cfg(), [1], ["mdlps"], out_dir=str(out))
-    code = cli_main(["replay", "--trace", str(out / "trace_mdlps_s1.jsonl"),
-                     "--metric", "conservation"])
-    assert code == 0
-    assert '"ok": true' in capsys.readouterr().out
+    """replay prints JSON: exec_order one order per event index, {} for a
+    trace with no event; a delay over no final delivery null, not NaN."""
+    cases = [(_fast_cfg(), "conservation"),
+             (_REPLAY_SCENARIOS["two_events"], "exec_order"),
+             (_REPLAY_SCENARIOS["no_event"], "exec_order"),
+             (_fast_cfg(flow_count=0, critical_events=[]), "mean_delay"),
+             (_fast_cfg(flow_count=0, critical_events=[]), "p95_delay")]
+    printed = []
+    for k, (cfg, metric) in enumerate(cases):
+        out = tmp_path / str(k)
+        run_experiment(cfg, [2], ["data"], out_dir=str(out))
+        code = cli_main(["replay", "--trace", str(out / "trace_data_s2.jsonl"),
+                         "--metric", metric])
+        assert code == 0
+        printed.append(json.loads(capsys.readouterr().out))
+    assert printed[0]["ok"] is True
+    orders = replay_metric(str(tmp_path / "1" / "trace_data_s2.jsonl"), "exec_order")
+    assert printed[1] == {str(ev): order for ev, order in orders.items()}
+    assert set(printed[1]) == {"0", "1"}
+    assert printed[2:] == [{}, None, None]
 
 
 def test_cli_seed_list_parsing(tmp_path):

@@ -318,8 +318,10 @@ def test_pairs_at_the_range_are_found_across_cell_boundaries():
 
 
 def _box_in_disc(px, py, p):
-    """The engine's completeness proof: the layout's bounding box passes the
-    disc test at the reception range."""
+    """The layout's bounding box passes the disc test at the reception
+    range. engine.terrain_links_every_pair applies this test to the
+    terrain's box; its premise, that monotone rounding keeps every pair's
+    squared offset within the box's, is what the tests below check."""
     return bool(offset_in_disc(px.max() - px.min(), py.max() - py.min(), p.reach))
 
 
@@ -327,7 +329,8 @@ def _box_in_disc(px, py, p):
 def _boxes_at_the_range(draw):
     """Small layouts whose bounding box spans exactly the range, or one ulp
     more, on one axis and nothing or a fraction of the range on the other;
-    the remaining nodes lie inside the box."""
+    the remaining nodes lie inside the box: the edge cases of
+    terrain_links_every_pair's monotone-rounding premise."""
     p = params_for_range(draw(st.sampled_from([31.6, 86.0, 250.0, 800.0, 900.0])))
     r = p.reach
     span = draw(st.sampled_from([r, math.nextafter(r, math.inf)]))
