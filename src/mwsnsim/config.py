@@ -126,8 +126,9 @@ SCHEMA: dict[str, tuple[Any, Rule]] = {
     "options.density_weight": (0.7, _NON_NEGATIVE),
     "options.bandwidth_weight": (0.3, _NON_NEGATIVE),
     "options.orphan_policy": ("contend", _one_of("contend", "exclude")),
-    # critical events: list of {time, x, y, radius, reporter, emit_reports}
-    # null means the single default event at terrain center, t=10 s, r=400 m
+    # critical events: list of {time, x, y, radius, reporter, emit_reports};
+    # null resolves in _validate to the stock event: t=10 s at the terrain's
+    # centre, r=400 m, or to [] when the session is shorter than 10 s
     "critical_events": (None, _or_null(_LIST)),
     # networks: list of {id, bandwidth, members}; null means one network
     # spanning every node
@@ -233,19 +234,19 @@ def _check_entries(entries: list, name: str, schema: dict[str, tuple[Any, Rule]]
 
 class ScenarioConfig:
     """Resolved, validated scenario. Access sections as attributes of the
-    underlying dict via cfg["..."] / helper properties."""
+    underlying dict via cfg["..."] / helper properties. It keeps the
+    document it was validated from, so that an override derives every
+    defaulted value anew."""
 
-    def __init__(self, resolved: dict[str, Any]):
+    def __init__(self, resolved: dict[str, Any], document: dict[str, Any]):
         self._d = resolved
+        self._doc = document
 
     def __getitem__(self, key: str) -> Any:
         return self._d[key]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ScenarioConfig) and self._d == other._d
-
-    def to_dict(self) -> dict[str, Any]:
-        return copy.deepcopy(self._d)
 
     def to_yaml(self) -> str:
         buf = io.StringIO()
@@ -270,10 +271,10 @@ class ScenarioConfig:
         return self._d["scheduler"]
 
     def with_overrides(self, **top_level) -> "ScenarioConfig":
-        """New config with top-level scalar fields replaced and re-validated."""
-        d = self.to_dict()
-        d.update(top_level)
-        return validate_config(d)
+        """New config with top-level fields of the document replaced and
+        validated again, so that the defaults derived from other fields (the
+        stock critical event, a flow's stop and interval) follow them."""
+        return validate_config({**self._doc, **top_level})
 
 
 def _finite_disc(nominal_range: float) -> bool:
@@ -313,6 +314,10 @@ def _validate(d: dict[str, Any]) -> dict[str, Any]:
     _require(_finite_disc(d["radio"]["nominal_range"]), "radio.nominal_range",
              "must give a finite reception threshold > 0 and a finite range")
 
+    if d["critical_events"] is None:
+        w, h = d["terrain_area"]["width"], d["terrain_area"]["height"]
+        d["critical_events"] = ([{"time": 10.0, "x": w / 2, "y": h / 2, "radius": 400.0}]
+                                if d["session_duration"] >= 10.0 else [])
     for name, schema in _entry_schemas(d, n_sensors).items():
         if d[name] is not None:
             _check_entries(d[name], name, schema)
@@ -353,7 +358,7 @@ def validate_config(document: dict[str, Any] | None) -> ScenarioConfig:
         document = {}
     if not isinstance(document, dict):
         raise ParseError(f"top level must be a mapping, got {type(document).__name__}")
-    return ScenarioConfig(_validate(_deep_merge(DEFAULTS, document)))
+    return ScenarioConfig(_validate(_deep_merge(DEFAULTS, document)), copy.deepcopy(document))
 
 
 def loads_config(text: str) -> ScenarioConfig:

@@ -310,14 +310,7 @@ class Simulation:
         # before any critical event, networks rank by bandwidth alone
         ordered = sorted(self.networks, key=lambda net: (-net.bandwidth, net.id))
         self.n1_map = {net.id: rank + 1 for rank, net in enumerate(ordered)}
-        raw_events = cfg["critical_events"]
-        if raw_events is None:
-            w, h = cfg.terrain
-            raw_events = []
-            if cfg.session_duration >= 10.0:
-                raw_events = [{"time": 10.0, "x": w / 2, "y": h / 2, "radius": 400.0,
-                               "reporter": None, "emit_reports": True}]
-        self.critical_events = raw_events
+        self.critical_events = cfg["critical_events"]
         self.active_events: list[tuple[float, float, float]] = []
 
     def _schedule_initial_events(self) -> None:

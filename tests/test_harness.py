@@ -2,6 +2,7 @@
 trace replay, and the CLI surface."""
 
 import dataclasses
+import functools
 import inspect
 import json
 import os
@@ -12,6 +13,7 @@ from helpers import stream_draws
 from mwsnsim import metrics, trace_from_jsonl
 from mwsnsim.cli import main as cli_main
 from mwsnsim.config import (
+    SCHEMA,
     ParseError,
     ValidationError,
     load_config,
@@ -243,6 +245,38 @@ def test_config_round_trip_is_idempotent():
     again = loads_config(cfg.to_yaml())
     assert again == cfg
     assert again.to_yaml() == cfg.to_yaml()
+
+
+def test_resolved_config_states_the_stock_event():
+    """The default critical event resolves in the config, so the header of
+    a run lists it. The SCHEMA fields still null are those whose resolved
+    form would be no statement of the scenario."""
+    cfg = validate_config({})
+    assert cfg["critical_events"] == [{"time": 10.0, "x": 1000.0, "y": 1000.0, "radius": 400.0,
+                                       "reporter": None, "emit_reports": True}]
+    assert "critical_events:\n- emit_reports: true\n  radius: 400.0" in cfg.to_yaml()
+    null_fields = {path for path in SCHEMA
+                   if functools.reduce(lambda d, key: d[key], path.split("."), cfg) is None}
+    assert null_fields == {
+        # a list would restate every node, and one network's bandwidth
+        # ranks nothing
+        "networks",
+        # both are draws that depend on the seed
+        "flows", "node_placement",
+    }
+
+
+def test_overrides_derive_the_defaults_that_follow_them():
+    """with_overrides validates the document again, so each default derived
+    from another field follows an override of that field."""
+    one_flow = validate_config({"flows": [{"src": 0, "dst": 21}]})
+    assert one_flow.with_overrides(session_duration=50.0)["flows"][0]["stop"] == 50.0
+    assert one_flow.with_overrides(cbr_interval=0.25)["flows"][0]["interval"] == 0.25
+    stock = validate_config({})
+    assert stock.with_overrides(session_duration=5.0)["critical_events"] == []
+    moved = stock.with_overrides(terrain_area={"width": 600.0, "height": 800.0})
+    assert [(ev["x"], ev["y"]) for ev in moved["critical_events"]] == [(300.0, 400.0)]
+    assert loads_config(stock.to_yaml()) == stock
 
 
 def test_effective_range_logged_in_header():
